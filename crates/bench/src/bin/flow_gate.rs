@@ -80,6 +80,8 @@ fn measure_tiny_flow() -> Result<FlowRecord, String> {
         sweep_variants: 0,
         cold_wall_ms: 0.0,
         cold_simplex_iterations: 0,
+        infeasible_proofs: result.solver.infeasible_proofs as u64,
+        speculative_discards: result.solver.speculative_discards as u64,
     })
 }
 
@@ -103,6 +105,7 @@ fn measure_concurrent_throughput() -> Result<FlowRecord, String> {
     let mut totals = (0u64, 0u64, 0u64); // nodes, solves, iterations
     let mut presolve = (0u64, 0u64, 0u64); // rows, cols, nonzeros removed
     let mut fallbacks = (0u64, 0u64); // attempts, recoveries
+    let mut speculation = (0u64, 0u64); // infeasible proofs, discards
     let mut worst_bends = 0u64;
     let mut worst_error = 0.0f64;
     let mut first_report = None;
@@ -136,6 +139,8 @@ fn measure_concurrent_throughput() -> Result<FlowRecord, String> {
         presolve.2 += result.solver.presolve_nonzeros_removed as u64;
         fallbacks.0 += result.solver.fallback_attempts as u64;
         fallbacks.1 += result.solver.fallback_recoveries as u64;
+        speculation.0 += result.solver.infeasible_proofs as u64;
+        speculation.1 += result.solver.speculative_discards as u64;
         worst_bends = worst_bends.max(report.total_bends as u64);
         worst_error = worst_error.max(report.max_length_error);
         if first_report.is_none() {
@@ -165,6 +170,8 @@ fn measure_concurrent_throughput() -> Result<FlowRecord, String> {
         sweep_variants: 0,
         cold_wall_ms: 0.0,
         cold_simplex_iterations: 0,
+        infeasible_proofs: speculation.0,
+        speculative_discards: speculation.1,
     })
 }
 
@@ -278,6 +285,8 @@ fn measure_sweep() -> Result<FlowRecord, String> {
         totals.presolve_nonzeros_removed += result.solver.presolve_nonzeros_removed;
         totals.fallback_attempts += result.solver.fallback_attempts;
         totals.fallback_recoveries += result.solver.fallback_recoveries;
+        totals.infeasible_proofs += result.solver.infeasible_proofs;
+        totals.speculative_discards += result.solver.speculative_discards;
     }
 
     Ok(FlowRecord {
@@ -300,6 +309,8 @@ fn measure_sweep() -> Result<FlowRecord, String> {
         sweep_variants: SWEEP_VARIANTS as u64,
         cold_wall_ms,
         cold_simplex_iterations: cold_pivots,
+        infeasible_proofs: totals.infeasible_proofs as u64,
+        speculative_discards: totals.speculative_discards as u64,
     })
 }
 

@@ -376,6 +376,11 @@ pub struct FlowRecord {
     /// Simplex pivots of the cold one-at-a-time reference run (`0` for
     /// non-sweep records).
     pub cold_simplex_iterations: u64,
+    /// Solves that proved their model infeasible (not among `solves`).
+    pub infeasible_proofs: u64,
+    /// Speculative soft-length solves discarded because the hard-length
+    /// solve beside them succeeded.
+    pub speculative_discards: u64,
 }
 
 /// Serialises flow records in the committed `BENCH_flow.json` format.
@@ -390,7 +395,8 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
              \"presolve_nonzeros_removed\": {}, \"fallback_attempts\": {}, \
              \"fallback_recoveries\": {}, \"requests_per_sec\": {:.3}, \
              \"sweep_variants\": {}, \"cold_wall_ms\": {:.1}, \
-             \"cold_simplex_iterations\": {} }}{}\n",
+             \"cold_simplex_iterations\": {}, \"infeasible_proofs\": {}, \
+             \"speculative_discards\": {} }}{}\n",
             r.name,
             r.wall_ms,
             r.strips,
@@ -410,6 +416,8 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
             r.sweep_variants,
             r.cold_wall_ms,
             r.cold_simplex_iterations,
+            r.infeasible_proofs,
+            r.speculative_discards,
             if i + 1 < records.len() { "," } else { "" },
         ));
     }
@@ -458,6 +466,12 @@ pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
             sweep_variants: extract_number_value(object, "sweep_variants").unwrap_or(0.0) as u64,
             cold_wall_ms: extract_number_value(object, "cold_wall_ms").unwrap_or(0.0),
             cold_simplex_iterations: extract_number_value(object, "cold_simplex_iterations")
+                .unwrap_or(0.0) as u64,
+            // Infeasibility and speculation counters arrived with
+            // intra-job speculation; absent keys parse as zero.
+            infeasible_proofs: extract_number_value(object, "infeasible_proofs").unwrap_or(0.0)
+                as u64,
+            speculative_discards: extract_number_value(object, "speculative_discards")
                 .unwrap_or(0.0) as u64,
         });
         rest = &rest[end..];
@@ -517,6 +531,10 @@ pub fn flow_gate(
 ) -> FlowGateReport {
     let mut report = FlowGateReport::default();
     for cur in current {
+        report.notes.push(format!(
+            "{}: {} infeasible proofs, {} speculative discards",
+            cur.name, cur.infeasible_proofs, cur.speculative_discards
+        ));
         if cur.exact_lengths < cur.strips {
             report.failures.push(format!(
                 "{}: only {}/{} strips reached exact length",
@@ -800,6 +818,8 @@ mod tests {
             sweep_variants: 0,
             cold_wall_ms: 0.0,
             cold_simplex_iterations: 0,
+            infeasible_proofs: 2,
+            speculative_discards: 1,
         }
     }
 

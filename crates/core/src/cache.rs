@@ -4,10 +4,13 @@
 //! identical request — the same netlist under the same flow
 //! configuration — rebuilds and re-solves the very same models in the
 //! very same order. The flow therefore memoizes each **solve site**: the
-//! layout produced by one [`LayoutIlp`](crate::model::LayoutIlp) build
-//! plus its lazy overlap-separation rounds. Replaying an identical
-//! request turns every site into a pure lookup, reproducing the
-//! identical layout with near-zero solver work.
+//! outcome of one [`LayoutIlp`](crate::model::LayoutIlp) build plus its
+//! lazy overlap-separation rounds — the layout it produced, or the proof
+//! that it has none ([`SiteOutcome`]). Replaying an identical request
+//! turns every site into a pure lookup, reproducing the identical layout
+//! with near-zero solver work: the failed hard-length attempts of the
+//! refinement phase replay as stored infeasibilities instead of
+//! re-running their branch-and-bound trees.
 //!
 //! Memoizing the finished site (rather than seeding its warm basis) is a
 //! deliberate choice: the presolve layer's basis projection drops the
@@ -21,11 +24,15 @@
 //! phase, the full per-solve [`crate::model::IlpConfig`], the flow
 //! configuration and the base layout the model was built against, so two
 //! solve sites share an entry only when they build byte-identical models
-//! and solve them under identical budgets. Only sites whose every round
-//! solved to proven optimality are stored — a time-limit incumbent is
-//! timing-dependent and must not be replayed. The cache is bounded (FIFO
-//! eviction of the oldest entry) and fully thread-safe — concurrent jobs
-//! of one [`crate::JobContext`] share it.
+//! and solve them under identical budgets. Only *proven* outcomes are
+//! stored: a layout when every round solved to proven optimality, an
+//! infeasibility when the branch-and-bound tree closed without hitting
+//! any limit and every earlier round was optimal. A time-limit incumbent,
+//! a limit-bound failure or a cancelled or deadline-aborted site is
+//! timing-dependent and must not be replayed — which is also why a
+//! speculative site stopped early is never stored. The cache is bounded
+//! (FIFO eviction of the oldest entry) and fully thread-safe — concurrent
+//! jobs of one [`crate::JobContext`] share it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,14 +48,24 @@ use crate::layout::Layout;
 /// default comfortably holds several distinct circuits at once.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
+/// The memoized outcome of one solve site.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SiteOutcome {
+    /// The layout the site produced, every round proven optimal.
+    Solved(Layout),
+    /// The site's model was proven infeasible: the tree closed with no
+    /// limit hit, after proven-optimal earlier rounds.
+    Infeasible,
+}
+
 struct CacheState {
-    entries: HashMap<u64, Layout>,
+    entries: HashMap<u64, SiteOutcome>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
 }
 
 /// A bounded, thread-safe map from solve-site fingerprints to the
-/// layouts those sites produced.
+/// outcomes those sites produced.
 ///
 /// See the module docs for the keying and reuse contract.
 pub struct FlowCache {
@@ -104,14 +121,14 @@ impl FlowCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Looks up the memoized layout for a solve-site key, counting the
+    /// Looks up the memoized outcome for a solve-site key, counting the
     /// hit/miss.
-    pub fn lookup(&self, key: u64) -> Option<Layout> {
+    pub fn lookup(&self, key: u64) -> Option<SiteOutcome> {
         let state = self.state.lock_recover();
         match state.entries.get(&key) {
-            Some(layout) => {
+            Some(outcome) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(layout.clone())
+                Some(outcome.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -120,11 +137,11 @@ impl FlowCache {
         }
     }
 
-    /// Stores (or refreshes) the layout for a solve-site key, evicting
+    /// Stores (or refreshes) the outcome for a solve-site key, evicting
     /// the oldest entry when full.
-    pub fn store(&self, key: u64, layout: Layout) {
+    pub fn store(&self, key: u64, outcome: SiteOutcome) {
         let mut state = self.state.lock_recover();
-        if state.entries.insert(key, layout).is_none() {
+        if state.entries.insert(key, outcome).is_none() {
             state.order.push_back(key);
             while state.entries.len() > self.capacity {
                 if let Some(old) = state.order.pop_front() {
@@ -371,12 +388,16 @@ impl ModelView {
 mod tests {
     use super::*;
 
+    fn solved() -> SiteOutcome {
+        SiteOutcome::Solved(Layout::default())
+    }
+
     #[test]
     fn lookup_counts_hits_and_misses() {
         let cache = FlowCache::with_capacity(4);
         assert!(cache.lookup(1).is_none());
-        cache.store(1, Layout::default());
-        assert!(cache.lookup(1).is_some());
+        cache.store(1, solved());
+        assert_eq!(cache.lookup(1), Some(solved()));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
@@ -384,11 +405,19 @@ mod tests {
     }
 
     #[test]
+    fn infeasible_outcomes_round_trip() {
+        let cache = FlowCache::with_capacity(4);
+        cache.store(5, SiteOutcome::Infeasible);
+        assert_eq!(cache.lookup(5), Some(SiteOutcome::Infeasible));
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
     fn eviction_is_bounded_and_fifo() {
         let cache = FlowCache::with_capacity(2);
-        cache.store(1, Layout::default());
-        cache.store(2, Layout::default());
-        cache.store(3, Layout::default());
+        cache.store(1, solved());
+        cache.store(2, solved());
+        cache.store(3, solved());
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(1).is_none(), "oldest entry is evicted first");
         assert!(cache.lookup(2).is_some());
@@ -398,9 +427,9 @@ mod tests {
     #[test]
     fn refreshing_a_key_does_not_grow_the_cache() {
         let cache = FlowCache::with_capacity(2);
-        cache.store(1, Layout::default());
-        cache.store(1, Layout::default());
-        cache.store(2, Layout::default());
+        cache.store(1, solved());
+        cache.store(1, solved());
+        cache.store(2, solved());
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(1).is_some());
     }

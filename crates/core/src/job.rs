@@ -22,9 +22,14 @@
 //!   time limits are capped by the time remaining and an exhausted
 //!   deadline surfaces as [`crate::PilpError::DeadlineExceeded`].
 //! * Jobs sharing a context also share its [`crate::FlowCache`] of
-//!   memoized solve-site layouts, so a repeated identical request
-//!   replays each solve site as a pure lookup — the identical layout
-//!   with near-zero solver work.
+//!   memoized solve-site outcomes — proven-optimal layouts and proven
+//!   infeasibilities alike — so a repeated identical request replays
+//!   each solve site as a pure lookup: the identical layout with
+//!   near-zero solver work.
+//! * A context counts the flows in flight on it. A flow that finds
+//!   itself alone on a pool with idle workers overlaps independent solve
+//!   sites of its own (DESIGN.md, "Intra-job speculation"); with company
+//!   it keeps the serial order, leaving the workers to the other flows.
 //!
 //! The process-wide default context behind [`crate::Pilp::run`] and
 //! [`crate::Pilp::submit`] is [`JobContext::global`]; servers that need
@@ -54,6 +59,9 @@ pub struct JobContext {
     pool: SolverPool,
     cache: Arc<FlowCache>,
     models: Arc<ModelCache>,
+    /// Flows submitted into this context and not yet finished (a sweep
+    /// counts once for its whole run).
+    in_flight: Arc<AtomicUsize>,
 }
 
 impl JobContext {
@@ -64,6 +72,7 @@ impl JobContext {
             pool: SolverPool::new(workers),
             cache: Arc::new(FlowCache::default()),
             models: Arc::new(ModelCache::default()),
+            in_flight: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -91,6 +100,12 @@ impl JobContext {
         &self.models
     }
 
+    /// Flows (jobs, and sweeps counted once each) submitted into this
+    /// context that have not finished yet.
+    pub fn flows_in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::SeqCst)
+    }
+
     /// Shuts the pool down: in-flight solves return their incumbents and
     /// jobs still running fail with [`PilpError::PoolShutdown`] at their
     /// next checkpoint.
@@ -99,22 +114,45 @@ impl JobContext {
     }
 }
 
+/// Keeps one flow counted in its context's in-flight total for as long
+/// as it lives.
+struct InFlight(Arc<AtomicUsize>);
+
+impl InFlight {
+    fn enter(count: &Arc<AtomicUsize>) -> InFlight {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(Arc::clone(count))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Internal per-run control block threaded through the flow phases:
 /// cancellation, deadline, the shared pool/cache and progress counters.
+///
+/// [`FlowCtl::branch`] derives the block a speculative solve runs under:
+/// everything is shared with the flow except the cancel token, which is
+/// a child of the flow's.
 pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
     pool: Option<SolverPool>,
     cache: Option<Arc<FlowCache>>,
-    models: Option<crate::cache::ModelView>,
+    models: Option<Arc<crate::cache::ModelView>>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
     fingerprint: u64,
     progress: Arc<ProgressState>,
+    /// The context's in-flight flow count (the speculation gate).
+    in_flight: Arc<AtomicUsize>,
     /// Flow-fatal error recorded inside a tolerant per-strip solve loop
     /// (a contained worker panic, a dead pool); surfaced by the next
     /// [`FlowCtl::check`] so the phase loops abort instead of papering
     /// over the fault with their per-strip fallbacks.
-    fatal: Mutex<Option<PilpError>>,
+    fatal: Arc<Mutex<Option<PilpError>>>,
 }
 
 impl FlowCtl {
@@ -167,6 +205,34 @@ impl FlowCtl {
         self.pool.as_ref()
     }
 
+    /// The speculation gate, observed rather than configured: `true`
+    /// when this flow is the only one in flight on its context and the
+    /// pool has at least two idle workers — one for the flow's own solve,
+    /// one for the speculative one — so overlapping two solve sites
+    /// takes no worker from another flow.
+    pub(crate) fn may_speculate(&self) -> bool {
+        self.in_flight.load(Ordering::SeqCst) == 1
+            && self.pool.as_ref().is_some_and(|p| p.idle_workers() >= 2)
+    }
+
+    /// The control block of a speculative branch of this flow: the same
+    /// pool, caches, deadline, progress and fatal slot, under a child of
+    /// the flow's cancel token — cancelling the branch stops only the
+    /// branch, while cancelling the job stops both.
+    pub(crate) fn branch(&self) -> FlowCtl {
+        FlowCtl {
+            cancel: self.cancel.child(),
+            deadline: self.deadline,
+            pool: self.pool.clone(),
+            cache: self.cache.clone(),
+            models: self.models.clone(),
+            fingerprint: self.fingerprint,
+            progress: Arc::clone(&self.progress),
+            in_flight: Arc::clone(&self.in_flight),
+            fatal: Arc::clone(&self.fatal),
+        }
+    }
+
     /// The shared solve-site cache, if attached.
     pub(crate) fn cache(&self) -> Option<&FlowCache> {
         self.cache.as_deref()
@@ -175,7 +241,7 @@ impl FlowCtl {
     /// This flow's deterministic view of the shared structure-keyed
     /// model cache, if attached.
     pub(crate) fn model_cache(&self) -> Option<&crate::cache::ModelView> {
-        self.models.as_ref()
+        self.models.as_deref()
     }
 
     /// The netlist fingerprint for cache keying.
@@ -306,15 +372,17 @@ pub(crate) fn spawn_job(
     let cancel = CancelToken::new();
     let progress = Arc::new(ProgressState::default());
     let state = Arc::new(JobState::default());
+    let in_flight = InFlight::enter(&ctx.in_flight);
     let ctl = FlowCtl {
         cancel: cancel.clone(),
         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
         pool: Some(ctx.pool.clone()),
         cache: use_cache.then(|| Arc::clone(&ctx.cache)),
-        models: use_cache.then(|| crate::cache::ModelView::new(Arc::clone(&ctx.models))),
+        models: use_cache.then(|| Arc::new(crate::cache::ModelView::new(Arc::clone(&ctx.models)))),
         fingerprint: netlist.fingerprint(),
         progress: Arc::clone(&progress),
-        fatal: Mutex::new(None),
+        in_flight: Arc::clone(&ctx.in_flight),
+        fatal: Arc::default(),
     };
     let thread_state = Arc::clone(&state);
     let thread_progress = Arc::clone(&progress);
@@ -334,6 +402,9 @@ pub(crate) fn spawn_job(
                     payload: rfic_milp::panic_payload_string(payload.as_ref()),
                 })
             });
+            // The flow is over before its result is visible, so a caller
+            // that waits and submits again never sees it still counted.
+            drop(in_flight);
             thread_progress.stage.store(4, Ordering::Relaxed);
             let mut slot = thread_state.result.lock_recover();
             *slot = Some(result);
@@ -436,6 +507,8 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
     let pool = ctx.pool.clone();
     let cache = Arc::clone(&ctx.cache);
     let models = Arc::clone(&ctx.models);
+    let flows = Arc::clone(&ctx.in_flight);
+    let in_flight = InFlight::enter(&ctx.in_flight);
     let count = variants.len();
     let thread_state = Arc::clone(&state);
     let thread_cancel = cancel.clone();
@@ -453,10 +526,11 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
                         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
                         pool: Some(pool.clone()),
                         cache: Some(Arc::clone(&cache)),
-                        models: Some(crate::cache::ModelView::new(Arc::clone(&models))),
+                        models: Some(Arc::new(crate::cache::ModelView::new(Arc::clone(&models)))),
                         fingerprint: netlist.fingerprint(),
                         progress: Arc::new(ProgressState::default()),
-                        fatal: Mutex::new(None),
+                        in_flight: Arc::clone(&flows),
+                        fatal: Arc::default(),
                     };
                     pilp.run_with(netlist, &ctl)
                 }))
@@ -469,6 +543,7 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
                 results.push(result);
                 thread_state.completed.fetch_add(1, Ordering::Relaxed);
             }
+            drop(in_flight);
             let mut slot = thread_state.result.lock_recover();
             *slot = Some(results);
             thread_state.cv.notify_all();

@@ -60,7 +60,7 @@ pub mod pilp;
 pub mod render;
 pub mod report;
 
-pub use cache::{FlowCache, ModelCache, ModelEntry, ModelView};
+pub use cache::{FlowCache, ModelCache, ModelEntry, ModelView, SiteOutcome};
 pub use drc::{check as drc_check, DrcOptions, DrcReport, DrcViolation};
 pub use job::{JobContext, JobHandle, JobProgress, SweepHandle};
 pub use layout::{Layout, Placement};

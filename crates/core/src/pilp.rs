@@ -34,6 +34,7 @@ use rfic_milp::SolveOptions;
 use rfic_netlist::{DeviceId, MicrostripId, Netlist};
 use serde::{Deserialize, Serialize};
 
+use crate::cache::SiteOutcome;
 use crate::drc::{self, DrcOptions};
 use crate::layout::{Layout, Placement};
 use crate::model::{IlpConfig, IlpError, IlpWeights, LayoutIlp, ObjectId, PairSpec};
@@ -471,9 +472,34 @@ pub struct SolverTotals {
     /// Numerically-failed solves the fallback ladder recovered to a
     /// usable solution.
     pub fallback_recoveries: usize,
+    /// Solves that proved their model infeasible. They return no
+    /// solution, so they are not among `solves` and their tree work is
+    /// not in `nodes` or `simplex_iterations`.
+    pub infeasible_proofs: usize,
+    /// Speculative soft-length refinement solves whose result was thrown
+    /// away because the hard-length solve beside them succeeded (see
+    /// `DESIGN.md`, "Intra-job speculation"). Their work is not counted
+    /// in the other fields: the serial order would never have run them.
+    pub speculative_discards: usize,
 }
 
 impl SolverTotals {
+    /// Adds every counter of `other` into `self`.
+    fn merge(&mut self, other: &SolverTotals) {
+        self.solves += other.solves;
+        self.nodes += other.nodes;
+        self.simplex_iterations += other.simplex_iterations;
+        self.root_cuts += other.root_cuts;
+        self.tree_cuts += other.tree_cuts;
+        self.presolve_rows_removed += other.presolve_rows_removed;
+        self.presolve_cols_removed += other.presolve_cols_removed;
+        self.presolve_nonzeros_removed += other.presolve_nonzeros_removed;
+        self.fallback_attempts += other.fallback_attempts;
+        self.fallback_recoveries += other.fallback_recoveries;
+        self.infeasible_proofs += other.infeasible_proofs;
+        self.speculative_discards += other.speculative_discards;
+    }
+
     fn record(&mut self, solution: &rfic_milp::MilpSolution) {
         self.solves += 1;
         self.nodes += solution.nodes;
@@ -1100,52 +1126,133 @@ impl Pilp {
         }
         let n = (current_points.max(strip.suggested_chain_points).max(4) + *extra).min(9);
 
-        let mut config = IlpConfig::single_strip(strip_id);
-        config.hard_length = true;
-        config.weights = self.config.weights;
-        config.chain_points.insert(strip_id, n);
-        config
-            .strip_windows
+        let mut hard = IlpConfig::single_strip(strip_id);
+        hard.hard_length = true;
+        hard.weights = self.config.weights;
+        hard.chain_points.insert(strip_id, n);
+        hard.strip_windows
             .insert(strip_id, self.strip_window(netlist, layout, strip_id));
-        match self.solve_with_separation(
-            netlist,
-            config.clone(),
-            layout,
-            PilpPhase::Refinement,
-            ctl,
-            totals,
-        ) {
-            Ok(updated) => {
-                *layout = updated;
-                true
+        // The soft-length fallback re-solves the same window against the
+        // same base layout, so the next iteration can retry hard with an
+        // extra chain point from an improved layout.
+        let mut soft = hard.clone();
+        soft.hard_length = false;
+
+        let soft_result = if ctl.may_speculate() {
+            match self.solve_hard_beside_soft(netlist, hard, soft, layout, ctl, totals) {
+                Ok(updated) => {
+                    *layout = updated;
+                    return true;
+                }
+                Err(soft_result) => soft_result,
             }
-            Err(_) => {
-                // Hard length failed: fall back to soft so the layout at
-                // least improves; the next iteration will retry hard with an
-                // extra chain point.
-                config.hard_length = false;
-                if let Ok(updated) = self.solve_with_separation(
+        } else {
+            match self.solve_with_separation(
+                netlist,
+                hard,
+                layout,
+                PilpPhase::Refinement,
+                ctl,
+                totals,
+            ) {
+                Ok(updated) => {
+                    *layout = updated;
+                    return true;
+                }
+                Err(_) => self.solve_with_separation(
                     netlist,
-                    config,
+                    soft,
                     layout,
                     PilpPhase::Refinement,
                     ctl,
                     totals,
-                ) {
-                    let better = updated
-                        .length_error(netlist, strip_id)
-                        .map(f64::abs)
-                        .unwrap_or(f64::INFINITY)
-                        < layout
-                            .length_error(netlist, strip_id)
-                            .map(f64::abs)
-                            .unwrap_or(f64::INFINITY);
-                    if better {
-                        *layout = updated;
-                    }
-                }
-                false
+                ),
             }
+        };
+        // Hard length failed: keep the soft solve if it at least improves
+        // the strip's length error.
+        if let Ok(updated) = soft_result {
+            let error = |l: &Layout| {
+                l.length_error(netlist, strip_id)
+                    .map(f64::abs)
+                    .unwrap_or(f64::INFINITY)
+            };
+            if error(&updated) < error(layout) {
+                *layout = updated;
+            }
+        }
+        false
+    }
+
+    /// The speculative form of a refinement step: the soft-length
+    /// fallback solves on a scoped thread while this thread runs the
+    /// hard-length solve, both against `base`. A successful hard solve
+    /// stops the soft one through the branch's child cancel token and is
+    /// returned as `Ok`; otherwise the soft outcome is returned as `Err`,
+    /// with the branch's solver work merged into `totals` — exactly what
+    /// the serial order would have computed and counted, because both
+    /// sites read the same base, every tree is deterministic however many
+    /// trees share the pool, and a stopped site is never memoized.
+    ///
+    /// A panic in the soft branch is contained at the join and recorded
+    /// as the job's fatal error, so the next checkpoint fails the job
+    /// with [`PilpError::Internal`].
+    fn solve_hard_beside_soft(
+        &self,
+        netlist: &Netlist,
+        hard: IlpConfig,
+        soft: IlpConfig,
+        base: &Layout,
+        ctl: &crate::job::FlowCtl,
+        totals: &mut SolverTotals,
+    ) -> Result<Layout, Result<Layout, IlpError>> {
+        let branch = ctl.branch();
+        let (hard_result, soft_run) = std::thread::scope(|scope| {
+            let soft_run = scope.spawn(|| {
+                let _ = rfic_lp::fault::fire("core.pilp.speculate");
+                let mut branch_totals = SolverTotals::default();
+                let result = self.solve_with_separation(
+                    netlist,
+                    soft,
+                    base,
+                    PilpPhase::Refinement,
+                    &branch,
+                    &mut branch_totals,
+                );
+                (result, branch_totals)
+            });
+            let hard_result =
+                self.solve_with_separation(netlist, hard, base, PilpPhase::Refinement, ctl, totals);
+            if hard_result.is_ok() {
+                branch.cancel_token().cancel();
+            }
+            // Joining explicitly hands a branch panic back as `Err`
+            // instead of re-raising it when the scope ends.
+            (hard_result, soft_run.join())
+        });
+        let soft_result = match soft_run {
+            Ok((result, branch_totals)) => {
+                if hard_result.is_err() {
+                    totals.merge(&branch_totals);
+                }
+                result
+            }
+            Err(payload) => {
+                ctl.record_fatal(PilpError::Internal {
+                    site: "core.pilp.speculate".to_string(),
+                    payload: rfic_milp::panic_payload_string(payload.as_ref()),
+                });
+                Err(IlpError::Solver(rfic_milp::MilpError::Internal {
+                    site: "core.pilp.speculate".to_string(),
+                }))
+            }
+        };
+        match hard_result {
+            Ok(updated) => {
+                totals.speculative_discards += 1;
+                Ok(updated)
+            }
+            Err(_) => Err(soft_result),
         }
     }
 
@@ -1349,8 +1456,12 @@ impl Pilp {
             .cache()
             .map(|_| solve_site_key(ctl.fingerprint(), phase, &config, &self.config, base));
         if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
-            if let Some(layout) = cache.lookup(key) {
-                return Ok(layout);
+            match cache.lookup(key) {
+                Some(SiteOutcome::Solved(layout)) => return Ok(layout),
+                Some(SiteOutcome::Infeasible) => {
+                    return Err(IlpError::Solver(rfic_milp::MilpError::Infeasible))
+                }
+                None => {}
             }
         }
         let mut ilp = LayoutIlp::build(netlist, config, base)?;
@@ -1420,6 +1531,21 @@ impl Pilp {
                             if let Some(fatal) = fatal_flow_error(&e) {
                                 ctl.record_fatal(fatal);
                             }
+                            // `Infeasible` comes back only from a tree
+                            // that closed with no limit hit, so after
+                            // proven-optimal earlier rounds it is a
+                            // deterministic outcome of this site and
+                            // replays like a layout. A patched-root
+                            // trajectory depends on the model cache,
+                            // which the site key does not cover.
+                            if matches!(e, IlpError::Solver(rfic_milp::MilpError::Infeasible)) {
+                                totals.infeasible_proofs += 1;
+                                if provable && !patched_used {
+                                    if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
+                                        cache.store(key, SiteOutcome::Infeasible);
+                                    }
+                                }
+                            }
                             return Err(e);
                         }
                     };
@@ -1485,7 +1611,7 @@ impl Pilp {
         }
         if !aborted && provable {
             if let (Some(cache), Some(key), Some(layout)) = (ctl.cache(), site_key, &best) {
-                cache.store(key, layout.clone());
+                cache.store(key, SiteOutcome::Solved(layout.clone()));
             }
         }
         best.ok_or(IlpError::Solver(rfic_milp::MilpError::LimitReached))

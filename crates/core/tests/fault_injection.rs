@@ -2,7 +2,8 @@
 //! the `failpoints` feature): a panic anywhere inside a job — a solver
 //! worker or the flow thread itself — fails that job alone with
 //! [`PilpError::Internal`], the shared context stays healthy, and the
-//! next identical job reproduces the uninjected layout bit-for-bit. A
+//! next identical job reproduces the uninjected layout bit-for-bit — the
+//! same holds for a panic in a refinement step's speculative branch. A
 //! forced singular basis instead recovers in-place through the solver
 //! fallback ladder.
 
@@ -13,6 +14,8 @@ use std::time::Duration;
 use rfic_core::{JobContext, Pilp, PilpConfig, PilpError};
 use rfic_lp::fault::{Fault, FaultPlan};
 use rfic_netlist::benchmarks;
+use rfic_netlist::generator::{generate, CircuitSpec};
+use rfic_netlist::Technology;
 
 fn assert_full_quality(result: &rfic_core::PilpResult) {
     let report = result.report();
@@ -37,8 +40,11 @@ fn worker_panic_fails_one_job_and_the_pool_recovers_bit_identically() {
     let circuit = benchmarks::tiny_circuit();
     let pilp = Pilp::new(PilpConfig::fast());
 
-    // Uninjected reference run on its own context.
+    // Uninjected reference run on its own context. Runs outside an armed
+    // plan hold an empty one: the plan lock keeps them from consuming a
+    // fault another test armed.
     let reference = {
+        let _quiet = FaultPlan::new().install();
         let ctx = JobContext::new(2);
         let result = pilp
             .submit_in(&circuit.netlist, &ctx)
@@ -68,6 +74,7 @@ fn worker_panic_fails_one_job_and_the_pool_recovers_bit_identically() {
 
     // Guard dropped: the same context — same pool, same cache — solves
     // the identical request to the identical layout.
+    let _quiet = FaultPlan::new().install();
     let retry = pilp
         .submit_in(&circuit.netlist, &ctx)
         .wait()
@@ -134,6 +141,7 @@ fn flow_thread_panic_is_contained_as_internal() {
             other => panic!("expected PilpError::Internal, got {other:?}"),
         }
     }
+    let _quiet = FaultPlan::new().install();
     let retry = pilp
         .submit_in(&circuit.netlist, &ctx)
         .wait()
@@ -162,6 +170,71 @@ fn checkpoint_delay_trips_the_deadline() {
     assert!(
         matches!(err, PilpError::DeadlineExceeded),
         "expected DeadlineExceeded, got {err:?}"
+    );
+    ctx.shutdown();
+}
+
+/// A panic inside the speculative soft-length branch of a refinement
+/// step is contained at the branch: the job fails with
+/// [`PilpError::Internal`] naming the site — no process abort, no hung
+/// scope — and the next job on the same context lays out bit-identically
+/// to an uninjected run.
+#[test]
+fn speculative_branch_panic_is_contained_as_internal() {
+    // One device, one pad, one strip: every hard-length refinement solve
+    // is infeasible, so a 2-worker context speculates on each one.
+    let spec = CircuitSpec {
+        name: "single-strip".into(),
+        num_devices: 1,
+        num_microstrips: 1,
+        num_pads: 1,
+        area: (380.0, 320.0),
+        reduced_area: None,
+        detour_fraction: 0.34,
+        double_detours: 0,
+        tech: Technology::cmos90(),
+        seed: 3,
+    };
+    let netlist = generate(&spec).expect("generable").netlist;
+    let pilp = Pilp::new(PilpConfig::fast());
+
+    let reference = {
+        let _quiet = FaultPlan::new().install();
+        let ctx = JobContext::new(2);
+        let result = pilp.submit_in(&netlist, &ctx).wait().expect("reference");
+        ctx.shutdown();
+        result
+    };
+
+    let ctx = JobContext::new(2);
+    {
+        let _guard = FaultPlan::new()
+            .fail("core.pilp.speculate", Fault::Panic)
+            .install();
+        let err = pilp
+            .submit_in(&netlist, &ctx)
+            .wait()
+            .expect_err("the speculative-branch panic must fail the job");
+        match &err {
+            PilpError::Internal { site, payload } => {
+                assert_eq!(site, "core.pilp.speculate");
+                assert!(
+                    payload.contains("failpoint:core.pilp.speculate"),
+                    "payload: {payload}"
+                );
+            }
+            other => panic!("expected PilpError::Internal, got {other:?}"),
+        }
+    }
+    assert_eq!(ctx.pool().idle_workers(), ctx.pool().workers());
+    let _quiet = FaultPlan::new().install();
+    let retry = pilp
+        .submit_in(&netlist, &ctx)
+        .wait()
+        .expect("the context must survive a contained branch panic");
+    assert_eq!(
+        retry.layout, reference.layout,
+        "the post-panic job must be bit-identical to an uninjected run"
     );
     ctx.shutdown();
 }

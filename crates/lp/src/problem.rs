@@ -109,11 +109,18 @@ pub(crate) struct MatrixCache {
 /// called, every in-flight and future solve carrying the token aborts
 /// with [`LpError::TimeLimit`] at its next limit check.
 ///
+/// A token made by [`CancelToken::child`] has its own flag plus its
+/// parent's: it reads as cancelled once either fires, while cancelling
+/// the child never reaches the parent.
+///
 /// Equality is *identity* (two tokens compare equal when they share the
 /// flag), so carrying a token does not break structural comparison of the
 /// models holding it.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+pub struct CancelToken {
+    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    parent: Option<Box<CancelToken>>,
+}
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
@@ -121,21 +128,33 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Requests cancellation: every solve sharing this token stops at its
-    /// next limit check. Irrevocable.
-    pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+    /// A new token that observes this one's cancellation but whose own
+    /// [`CancelToken::cancel`] stays local — the handle for stopping one
+    /// branch of a job without stopping the job.
+    pub fn child(&self) -> CancelToken {
+        CancelToken {
+            flag: std::sync::Arc::default(),
+            parent: Some(Box::new(self.clone())),
+        }
     }
 
-    /// `true` once [`CancelToken::cancel`] has been called.
+    /// Requests cancellation: every solve sharing this token (or a child
+    /// of it) stops at its next limit check. Irrevocable.
+    pub fn cancel(&self) {
+        self.flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// `true` once [`CancelToken::cancel`] has been called on this token
+    /// or on any ancestor it was derived from.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
+        self.flag.load(std::sync::atomic::Ordering::SeqCst)
+            || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        std::sync::Arc::ptr_eq(&self.0, &other.0)
+        std::sync::Arc::ptr_eq(&self.flag, &other.flag)
     }
 }
 
@@ -669,5 +688,36 @@ mod tests {
         );
         assert!(LpError::InvalidModel("x".into()).to_string().contains("x"));
         assert_eq!(ConstraintOp::Le.to_string(), "<=");
+    }
+
+    #[test]
+    fn parent_cancel_reaches_the_child() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let grandchild = child.child();
+        assert!(!child.is_cancelled());
+        parent.cancel();
+        assert!(child.is_cancelled());
+        assert!(
+            grandchild.is_cancelled(),
+            "cancellation reaches every descendant"
+        );
+        assert!(child.clone().is_cancelled(), "clones share the lineage");
+    }
+
+    #[test]
+    fn child_cancel_stays_local() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let sibling = parent.child();
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(
+            !parent.is_cancelled(),
+            "a child cancel never reaches the parent"
+        );
+        assert!(!sibling.is_cancelled(), "nor a sibling");
+        assert_ne!(child, parent);
+        assert_eq!(child, child.clone());
     }
 }

@@ -155,6 +155,30 @@ impl SolverPool {
         self.worker_count
     }
 
+    /// Workers free to take new work right now: the worker count minus
+    /// the workers attached to a tree and minus the slots that queued,
+    /// unfinished trees have claimed but no worker has taken yet (those
+    /// slots are spoken for — an idle worker would take one next).
+    ///
+    /// A point-in-time observation for scheduling hints, not a
+    /// reservation: another thread may register a tree the moment after.
+    pub fn idle_workers(&self) -> usize {
+        let state = self.inner.state.lock_recover();
+        let busy: usize = state
+            .queue
+            .iter()
+            .map(|entry| {
+                let pending = if entry.finished {
+                    0
+                } else {
+                    entry.slots - entry.taken
+                };
+                entry.attached + pending
+            })
+            .sum();
+        self.worker_count.saturating_sub(busy)
+    }
+
     /// Trees served to completion since the pool started.
     pub fn completed_trees(&self) -> u64 {
         self.inner.state.lock_recover().completed
@@ -337,6 +361,61 @@ mod tests {
             }
         });
         assert_eq!(pool.completed_trees(), sizes.len() as u64);
+        pool.shutdown();
+    }
+
+    /// Jeroslow's parity model: `2·Σx = n` over `n` binaries (odd `n`) is
+    /// infeasible, but every node LP stays feasible until about half the
+    /// variables are fixed, so the tree runs until it is stopped.
+    fn endless_tree(n: usize) -> crate::Model {
+        let mut model = crate::Model::new(crate::Sense::Maximize);
+        let mut sum = crate::LinExpr::new();
+        for i in 0..n {
+            let x = model.add_binary(format!("x{i}"), 1.0);
+            sum.add_term(x, 2.0);
+        }
+        model.add_eq(sum, n as f64);
+        model
+    }
+
+    #[test]
+    fn idle_workers_counts_attached_workers_and_claimed_slots() {
+        let pool = SolverPool::new(3);
+        assert_eq!(pool.idle_workers(), 3);
+        let model = endless_tree(61);
+        let cancel = crate::CancelToken::new();
+        let options = SolveOptions {
+            cut_rounds: 0,
+            node_limit: usize::MAX,
+            presolve: crate::PresolveConfig::off(),
+            ..SolveOptions::default()
+        }
+        .with_threads(2)
+        .with_cancel(cancel.clone());
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| model.solve_in_pool(&options, &pool));
+            // The tree's two slots are spoken for from registration on —
+            // claimed first, then attached — so exactly one worker is idle
+            // until the tree drains.
+            let start = std::time::Instant::now();
+            while pool.idle_workers() != 1 {
+                assert!(
+                    start.elapsed() < std::time::Duration::from_secs(30),
+                    "the 2-slot tree never registered"
+                );
+                std::thread::yield_now();
+            }
+            for _ in 0..100 {
+                assert_eq!(
+                    pool.idle_workers(),
+                    1,
+                    "a 2-slot tree holds exactly 2 workers"
+                );
+            }
+            cancel.cancel();
+            assert_eq!(handle.join().unwrap(), Err(MilpError::LimitReached));
+        });
+        assert_eq!(pool.idle_workers(), 3, "a drained tree frees every worker");
         pool.shutdown();
     }
 

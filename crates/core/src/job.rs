@@ -26,10 +26,11 @@
 //!   infeasibilities alike — so a repeated identical request replays
 //!   each solve site as a pure lookup: the identical layout with
 //!   near-zero solver work.
-//! * A context counts the flows in flight on it. A flow that finds
-//!   itself alone on a pool with idle workers overlaps independent solve
-//!   sites of its own (DESIGN.md, "Intra-job speculation"); with company
-//!   it keeps the serial order, leaving the workers to the other flows.
+//! * The process counts its flows in flight, over all contexts. A flow
+//!   that finds itself alone, on a pool with idle workers, overlaps
+//!   independent solve sites of its own (DESIGN.md, "Intra-job
+//!   speculation"); with company it keeps the serial order, leaving the
+//!   machine's cores to the other flows.
 //!
 //! The process-wide default context behind [`crate::Pilp::run`] and
 //! [`crate::Pilp::submit`] is [`JobContext::global`]; servers that need
@@ -59,9 +60,6 @@ pub struct JobContext {
     pool: SolverPool,
     cache: Arc<FlowCache>,
     models: Arc<ModelCache>,
-    /// Flows submitted into this context and not yet finished (a sweep
-    /// counts once for its whole run).
-    in_flight: Arc<AtomicUsize>,
 }
 
 impl JobContext {
@@ -72,7 +70,6 @@ impl JobContext {
             pool: SolverPool::new(workers),
             cache: Arc::new(FlowCache::default()),
             models: Arc::new(ModelCache::default()),
-            in_flight: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -100,12 +97,6 @@ impl JobContext {
         &self.models
     }
 
-    /// Flows (jobs, and sweeps counted once each) submitted into this
-    /// context that have not finished yet.
-    pub fn flows_in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
     /// Shuts the pool down: in-flight solves return their incumbents and
     /// jobs still running fail with [`PilpError::PoolShutdown`] at their
     /// next checkpoint.
@@ -114,40 +105,51 @@ impl JobContext {
     }
 }
 
-/// Keeps one flow counted in its context's in-flight total for as long
-/// as it lives.
-struct InFlight(Arc<AtomicUsize>);
+/// Flows submitted in this process and not yet finished, over all
+/// contexts (a sweep counts once for its whole run). Counted per
+/// process rather than per context because the pools of all contexts
+/// share the machine's cores.
+static FLOWS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// Keeps one flow counted in [`FLOWS_IN_FLIGHT`] for as long as it
+/// lives.
+struct InFlight;
 
 impl InFlight {
-    fn enter(count: &Arc<AtomicUsize>) -> InFlight {
-        count.fetch_add(1, Ordering::SeqCst);
-        InFlight(Arc::clone(count))
+    fn enter() -> InFlight {
+        FLOWS_IN_FLIGHT.fetch_add(1, Ordering::SeqCst);
+        InFlight
     }
 }
 
 impl Drop for InFlight {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        FLOWS_IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// The speculation gate on its observed inputs: the flow is alone in
+/// the process and `idle_workers` covers two trees of `slots` worker
+/// slots each.
+fn speculation_gate(flows_in_flight: usize, idle_workers: usize, slots: usize) -> bool {
+    flows_in_flight == 1 && idle_workers >= 2 * slots.max(1)
 }
 
 /// Internal per-run control block threaded through the flow phases:
 /// cancellation, deadline, the shared pool/cache and progress counters.
 ///
 /// [`FlowCtl::branch`] derives the block a speculative solve runs under:
-/// everything is shared with the flow except the cancel token, which is
-/// a child of the flow's.
+/// shared with the flow except for the cancel token, which is a child of
+/// the flow's, and the model-cache view, which the branch goes without.
 pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
     pool: Option<SolverPool>,
     cache: Option<Arc<FlowCache>>,
-    models: Option<Arc<crate::cache::ModelView>>,
+    models: Option<crate::cache::ModelView>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
     fingerprint: u64,
     progress: Arc<ProgressState>,
-    /// The context's in-flight flow count (the speculation gate).
-    in_flight: Arc<AtomicUsize>,
     /// Flow-fatal error recorded inside a tolerant per-strip solve loop
     /// (a contained worker panic, a dead pool); surfaced by the next
     /// [`FlowCtl::check`] so the phase loops abort instead of papering
@@ -206,29 +208,34 @@ impl FlowCtl {
     }
 
     /// The speculation gate, observed rather than configured: `true`
-    /// when this flow is the only one in flight on its context and the
-    /// pool has at least two idle workers — one for the flow's own solve,
-    /// one for the speculative one — so overlapping two solve sites
-    /// takes no worker from another flow.
-    pub(crate) fn may_speculate(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) == 1
-            && self.pool.as_ref().is_some_and(|p| p.idle_workers() >= 2)
+    /// when this flow is the only one in flight in the process and its
+    /// pool has idle workers for two trees of `slots` worker slots each
+    /// — the flow's own solve and the speculative one — so overlapping
+    /// two solve sites neither takes a core from another flow nor makes
+    /// the two trees compete for one worker.
+    pub(crate) fn may_speculate(&self, slots: usize) -> bool {
+        speculation_gate(
+            FLOWS_IN_FLIGHT.load(Ordering::SeqCst),
+            self.pool.as_ref().map_or(0, SolverPool::idle_workers),
+            slots,
+        )
     }
 
     /// The control block of a speculative branch of this flow: the same
-    /// pool, caches, deadline, progress and fatal slot, under a child of
-    /// the flow's cancel token — cancelling the branch stops only the
-    /// branch, while cancelling the job stops both.
+    /// pool, solve-site cache, deadline, progress and fatal slot, under a
+    /// child of the flow's cancel token — cancelling the branch stops
+    /// only the branch, while cancelling the job stops both. The branch
+    /// has no model-cache view: it runs only soft-length sites, which
+    /// never take the patched path.
     pub(crate) fn branch(&self) -> FlowCtl {
         FlowCtl {
             cancel: self.cancel.child(),
             deadline: self.deadline,
             pool: self.pool.clone(),
             cache: self.cache.clone(),
-            models: self.models.clone(),
+            models: None,
             fingerprint: self.fingerprint,
             progress: Arc::clone(&self.progress),
-            in_flight: Arc::clone(&self.in_flight),
             fatal: Arc::clone(&self.fatal),
         }
     }
@@ -241,7 +248,7 @@ impl FlowCtl {
     /// This flow's deterministic view of the shared structure-keyed
     /// model cache, if attached.
     pub(crate) fn model_cache(&self) -> Option<&crate::cache::ModelView> {
-        self.models.as_deref()
+        self.models.as_ref()
     }
 
     /// The netlist fingerprint for cache keying.
@@ -372,16 +379,15 @@ pub(crate) fn spawn_job(
     let cancel = CancelToken::new();
     let progress = Arc::new(ProgressState::default());
     let state = Arc::new(JobState::default());
-    let in_flight = InFlight::enter(&ctx.in_flight);
+    let in_flight = InFlight::enter();
     let ctl = FlowCtl {
         cancel: cancel.clone(),
         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
         pool: Some(ctx.pool.clone()),
         cache: use_cache.then(|| Arc::clone(&ctx.cache)),
-        models: use_cache.then(|| Arc::new(crate::cache::ModelView::new(Arc::clone(&ctx.models)))),
+        models: use_cache.then(|| crate::cache::ModelView::new(Arc::clone(&ctx.models))),
         fingerprint: netlist.fingerprint(),
         progress: Arc::clone(&progress),
-        in_flight: Arc::clone(&ctx.in_flight),
         fatal: Arc::default(),
     };
     let thread_state = Arc::clone(&state);
@@ -507,8 +513,7 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
     let pool = ctx.pool.clone();
     let cache = Arc::clone(&ctx.cache);
     let models = Arc::clone(&ctx.models);
-    let flows = Arc::clone(&ctx.in_flight);
-    let in_flight = InFlight::enter(&ctx.in_flight);
+    let in_flight = InFlight::enter();
     let count = variants.len();
     let thread_state = Arc::clone(&state);
     let thread_cancel = cancel.clone();
@@ -526,10 +531,9 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
                         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
                         pool: Some(pool.clone()),
                         cache: Some(Arc::clone(&cache)),
-                        models: Some(Arc::new(crate::cache::ModelView::new(Arc::clone(&models)))),
+                        models: Some(crate::cache::ModelView::new(Arc::clone(&models))),
                         fingerprint: netlist.fingerprint(),
                         progress: Arc::new(ProgressState::default()),
-                        in_flight: Arc::clone(&flows),
                         fatal: Arc::default(),
                     };
                     pilp.run_with(netlist, &ctl)
@@ -603,6 +607,32 @@ mod tests {
         };
         let job = Pilp::new(config).submit_in(&circuit.netlist, &ctx);
         assert!(matches!(job.wait(), Err(PilpError::DeadlineExceeded)));
+        ctx.shutdown();
+    }
+
+    /// The speculation gate counts worker slots, not trees: on a 2-worker
+    /// pool a 1-thread flow may overlap two trees, but a multi-thread
+    /// flow may not — two of its trees would compete for the same
+    /// workers — and a second flow in flight closes the gate too.
+    #[test]
+    fn speculation_gate_needs_idle_slots_for_both_trees() {
+        let ctx = JobContext::new(2);
+        let idle = ctx.pool().idle_workers();
+        assert_eq!(idle, 2);
+        let slots = |config: PilpConfig| {
+            Pilp::new(config)
+                .solve_options(PilpPhase::Refinement)
+                .threads
+        };
+        assert!(speculation_gate(1, idle, slots(PilpConfig::fast())));
+        assert!(!speculation_gate(1, idle, slots(PilpConfig::thorough())));
+        let two_threads = PilpConfig {
+            solver_threads: 2,
+            ..PilpConfig::fast()
+        };
+        assert!(!speculation_gate(1, idle, slots(two_threads.clone())));
+        assert!(speculation_gate(1, 4, slots(two_threads)));
+        assert!(!speculation_gate(2, idle, slots(PilpConfig::fast())));
         ctx.shutdown();
     }
 }

@@ -734,7 +734,7 @@ impl Pilp {
         }
     }
 
-    fn solve_options(&self, phase: PilpPhase) -> SolveOptions {
+    pub(crate) fn solve_options(&self, phase: PilpPhase) -> SolveOptions {
         let cut_budget = self.config.phase_budgets.cuts_for_phase(phase);
         SolveOptions {
             time_limit: self
@@ -1138,7 +1138,8 @@ impl Pilp {
         let mut soft = hard.clone();
         soft.hard_length = false;
 
-        let soft_result = if ctl.may_speculate() {
+        let slots = self.solve_options(PilpPhase::Refinement).threads;
+        let soft_result = if ctl.may_speculate(slots) {
             match self.solve_hard_beside_soft(netlist, hard, soft, layout, ctl, totals) {
                 Ok(updated) => {
                     *layout = updated;

@@ -1,14 +1,12 @@
 //! End-to-end contracts of the layout-job API: cancellation releases the
-//! shared pool, identical requests replay from the solve-site cache, a
-//! job solves to the same layout whether it runs alone or next to
-//! another job, and intra-job speculation changes timing only.
+//! shared pool, identical requests replay from the solve-site cache, and
+//! a job solves to the same layout whether it runs alone or next to
+//! another job.
 
 use std::time::{Duration, Instant};
 
-use rfic_core::{JobContext, Pilp, PilpConfig, PilpError, PilpPhase};
+use rfic_core::{JobContext, Pilp, PilpConfig, PilpError};
 use rfic_netlist::benchmarks;
-use rfic_netlist::generator::{generate, CircuitSpec};
-use rfic_netlist::Technology;
 
 /// Cancellation mid-phase surfaces as [`PilpError::Cancelled`] and the
 /// pool workers the job occupied become available again: a follow-up job
@@ -168,120 +166,4 @@ fn job_layout_is_invariant_under_concurrent_neighbours() {
     );
     assert_eq!(alone.solver.solves, alongside.solver.solves);
     assert!(neighbour_result.layout.is_complete(&neighbour));
-}
-
-/// One device, one bond pad and one microstrip in the tiny circuit's
-/// area: a circuit whose every hard-length refinement solve is
-/// infeasible, so each refinement step falls back to its soft-length
-/// solve — the site pair intra-job speculation overlaps.
-fn single_strip(seed: u64) -> rfic_netlist::Netlist {
-    let spec = CircuitSpec {
-        name: format!("single-strip-{seed}"),
-        num_devices: 1,
-        num_microstrips: 1,
-        num_pads: 1,
-        area: (380.0, 320.0),
-        reduced_area: None,
-        detour_fraction: 0.34,
-        double_detours: 0,
-        tech: Technology::cmos90(),
-        seed,
-    };
-    generate(&spec)
-        .expect("single-strip spec is generable")
-        .netlist
-}
-
-/// A replay of a solved single-strip circuit is a pure lookup: the
-/// proven-infeasible hard-length sites replay from the cache like the
-/// solved ones, so no branch-and-bound tree runs at all.
-#[test]
-fn replay_runs_no_solver_tree() {
-    let ctx = JobContext::new(2);
-    let netlist = single_strip(7);
-    let pilp = Pilp::new(PilpConfig::fast());
-    let first = pilp.submit_in(&netlist, &ctx).wait().expect("cold job");
-    assert!(
-        first.solver.infeasible_proofs > 0,
-        "the cold flow proves some hard-length site infeasible"
-    );
-    let trees = ctx.pool().completed_trees();
-    let replay = pilp.submit_in(&netlist, &ctx).wait().expect("replay");
-    assert_eq!(
-        ctx.pool().completed_trees(),
-        trees,
-        "a replay must not run a single tree"
-    );
-    assert_eq!(replay.layout, first.layout);
-    assert_eq!(replay.solver.solves, 0);
-    assert_eq!(replay.solver.infeasible_proofs, 0);
-    ctx.shutdown();
-}
-
-/// Speculation changes when solves run, never what they produce: on a
-/// 1-worker context the gate cannot open and the flow runs the serial
-/// order; on a 2-worker context the soft-length fallback runs beside
-/// every hard-length proof. Layouts, bends and the full solver
-/// accounting agree seed for seed.
-#[test]
-fn speculation_preserves_layouts_and_solver_totals() {
-    let pilp = Pilp::new(PilpConfig::fast());
-    let serial = JobContext::new(1);
-    let speculative = JobContext::new(2);
-    for seed in 1..=8 {
-        let netlist = single_strip(seed);
-        let a = pilp.submit_in(&netlist, &serial).wait().expect("serial");
-        let b = pilp
-            .submit_in(&netlist, &speculative)
-            .wait()
-            .expect("speculative");
-        assert_eq!(a.layout, b.layout, "seed {seed}: layouts differ");
-        assert_eq!(
-            a.report().total_bends,
-            b.report().total_bends,
-            "seed {seed}: bends differ"
-        );
-        // Every hard-length solve fails on this family, so the soft
-        // branch is always used and nothing is discarded.
-        assert_eq!(a.solver, b.solver, "seed {seed}: solver totals differ");
-    }
-    serial.shutdown();
-    speculative.shutdown();
-}
-
-/// Cancelling a job while its speculative soft-length tree runs beside
-/// the hard-length one stops both: the job fails with
-/// [`PilpError::Cancelled`] and every pool worker is free again.
-#[test]
-fn cancel_during_speculation_stops_both_branches() {
-    let ctx = JobContext::new(2);
-    let pilp = Pilp::new(PilpConfig::fast());
-    let mut cancelled_mid_speculation = false;
-    for seed in 1..=20 {
-        let netlist = single_strip(seed);
-        let job = pilp.submit_in(&netlist, &ctx);
-        // A single flow on a 1-thread config holds both workers only
-        // while a speculative tree runs beside its own.
-        while job.poll().is_none()
-            && !(job.progress().phase == Some(PilpPhase::Refinement)
-                && ctx.pool().idle_workers() == 0)
-        {
-            std::thread::yield_now();
-        }
-        job.cancel();
-        let result = job.wait();
-        assert_eq!(ctx.pool().idle_workers(), ctx.pool().workers());
-        assert_eq!(ctx.flows_in_flight(), 0);
-        if matches!(result, Err(PilpError::Cancelled)) {
-            cancelled_mid_speculation = true;
-            break;
-        }
-        // The job beat the poll loop to the finish; try the next seed.
-        result.expect("an uncancelled job completes");
-    }
-    assert!(
-        cancelled_mid_speculation,
-        "no seed was caught with a speculative tree in flight"
-    );
-    ctx.shutdown();
 }

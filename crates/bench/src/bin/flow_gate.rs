@@ -177,13 +177,11 @@ fn measure_concurrent_throughput() -> Result<FlowRecord, String> {
 
 /// Target-length scales of the sweep measurement's variants — the fine
 /// 0.5% perturbations a matching-network length sweep actually explores.
-/// Scaling targets *up* keeps every variant routable in the fixed area,
-/// and target lengths enter the layout models as constraint values only
-/// — exactly the equal-structure shape the sweep fast path exists for.
+/// Scaling targets *up* keeps every variant routable in the fixed area.
 /// Every scale on the list completes the *cold* flow DRC-clean with all
 /// lengths exact (1.015 is skipped: its refinement leaves one spacing
-/// violation regardless of caching), so the gate measures the fast path
-/// against a clean baseline instead of flow robustness.
+/// violation regardless of caching), so the gate measures the batched
+/// sweep against a clean baseline instead of flow robustness.
 const SWEEP_SCALES: [f64; SWEEP_VARIANTS] = [1.0, 1.005, 1.01, 1.02, 1.025, 1.03, 1.035, 1.04];
 
 /// The parameter variants of the sweep measurement: [`SWEEP_SCALES`]
@@ -231,13 +229,13 @@ fn check_sweep_result(
     ))
 }
 
-/// Measures the parameter-sweep fast path: [`SWEEP_VARIANTS`] tiny-circuit
+/// Measures the batched parameter sweep: [`SWEEP_VARIANTS`] tiny-circuit
 /// variants once as independent cold runs (the reference: every variant
 /// rebuilds and solves its models from scratch) and once as one batched
 /// [`Pilp::submit_sweep_in`] sweep over a fresh [`JobContext`] (variants
-/// share the structure-keyed model cache, so equal-structure models are
-/// value-patched and re-solved from the retained basis). Every variant of
-/// both runs must reach exact length on every strip and stay DRC-clean.
+/// run in order as full flows sharing the pool and the solve-site
+/// cache). Every variant of both runs must reach exact length on every
+/// strip and stay DRC-clean.
 fn measure_sweep() -> Result<FlowRecord, String> {
     let variants = sweep_netlists();
     let pilp = Pilp::new(PilpConfig::fast());

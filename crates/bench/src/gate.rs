@@ -366,7 +366,7 @@ pub struct FlowRecord {
     /// Number of variants for parameter-sweep records (the batched sweep
     /// measured against the same variants submitted cold, one at a
     /// time); `0` for non-sweep records and baselines predating the
-    /// sweep fast path. Sweep records carry the *sweep* cost in
+    /// batched sweep. Sweep records carry the *sweep* cost in
     /// `wall_ms`/`simplex_iterations` and the cold cost in the two
     /// fields below.
     pub sweep_variants: u64,
@@ -461,7 +461,7 @@ pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
             // Throughput records arrived with the job API; absent keys
             // parse as zero so older baselines load.
             requests_per_sec: extract_number_value(object, "requests_per_sec").unwrap_or(0.0),
-            // Sweep records arrived with the parameter-sweep fast path;
+            // Sweep records arrived with the batched parameter sweep;
             // absent keys parse as zero so older baselines load.
             sweep_variants: extract_number_value(object, "sweep_variants").unwrap_or(0.0) as u64,
             cold_wall_ms: extract_number_value(object, "cold_wall_ms").unwrap_or(0.0),
@@ -500,7 +500,7 @@ impl FlowGateReport {
 
 /// Maximum tolerated shrink of a sweep record's measured speedup
 /// (`cold_wall_ms / wall_ms`) relative to the committed baseline before
-/// the gate fails: the sweep fast path losing more than this fraction of
+/// the gate fails: the batched sweep losing more than this fraction of
 /// its advantage is a regression of the feature itself, even if the
 /// absolute wall time still clears the generic threshold.
 pub const SWEEP_SPEEDUP_REGRESSION_PCT: f64 = 30.0;
@@ -515,8 +515,8 @@ pub const SWEEP_SPEEDUP_REGRESSION_PCT: f64 = 30.0;
 ///   `threshold_pct` percent *and* more than `min_abs_ms` milliseconds
 ///   (the absolute floor filters scheduler noise on short flows).
 ///
-/// Sweep records (`sweep_variants > 0`) additionally gate the fast path
-/// itself: the batched sweep must beat its cold one-at-a-time reference
+/// Sweep records (`sweep_variants > 0`) additionally gate the batched
+/// sweep itself: it must beat its cold one-at-a-time reference
 /// in wall time *and* total simplex pivots, must be DRC-clean, and its
 /// measured speedup must not shrink by more than
 /// [`SWEEP_SPEEDUP_REGRESSION_PCT`] percent against the baseline record.
@@ -887,8 +887,8 @@ mod tests {
         );
     }
 
-    /// Sweep records round-trip their fields, and the gate enforces the
-    /// fast path: sweep < cold in wall time and pivots.
+    /// Sweep records round-trip their fields, and the gate enforces
+    /// sweep < cold in wall time and pivots.
     #[test]
     fn flow_gate_enforces_sweep_beats_cold() {
         let record = sweep("tiny sweep x8", 10_000.0, 24_000.0);

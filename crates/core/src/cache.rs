@@ -36,10 +36,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use rfic_lp::sync::LockExt;
-use rfic_lp::{Basis, LinearProgram};
 
 use crate::layout::Layout;
 
@@ -154,236 +153,6 @@ impl FlowCache {
     }
 }
 
-/// Default number of retained model builds per [`ModelCache`]. A sweep
-/// re-visits the same few dozen solve sites per variant, so the default
-/// comfortably covers several circuits' worth of distinct structures.
-pub const DEFAULT_MODEL_CACHE_CAPACITY: usize = 256;
-
-/// One retained model build: the relaxation [`LinearProgram`] exactly as
-/// the last solve of this structure left it, plus the full-space root
-/// basis that solve returned.
-#[derive(Clone)]
-pub struct ModelEntry {
-    /// The built relaxation. Its memoised matrix cache (and fingerprint)
-    /// is what value-patching preserves, so cloning this entry hands the
-    /// next solve a model whose retained basis still matches.
-    pub lp: LinearProgram,
-    /// Root basis of the last solve of this structure. Entries seeded
-    /// from a presolved solve carry the *dead* full-space projection
-    /// (statuses only — the first patched re-solve pays one
-    /// refactorisation and re-prices); entries stored back from a patched
-    /// re-solve carry the **live** basis with factorisation and dual
-    /// steepest-edge weights.
-    pub basis: Option<Basis>,
-}
-
-struct ModelCacheState {
-    entries: HashMap<u64, Arc<ModelEntry>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
-}
-
-/// A bounded, thread-safe map from **structure fingerprints** (see
-/// [`rfic_milp::Model::structure_fingerprint`]) to retained model builds.
-///
-/// Where [`FlowCache`] replays *exact* request repeats as pure lookups,
-/// this cache catches the parameter-sweep shape: requests whose models
-/// share their constraint pattern and integrality mask but differ in
-/// bound/RHS/cost values. A hit is re-solved by value-patching the
-/// retained [`LinearProgram`] in place
-/// ([`rfic_milp::Model::patch_relaxation`]) and re-entering from the
-/// retained basis with presolve bypassed — the warm path that keeps the
-/// factorisation and DSE weights alive, where cross-request basis
-/// *seeding* through the presolve projection measurably did not (see the
-/// module docs above).
-pub struct ModelCache {
-    capacity: usize,
-    state: Mutex<ModelCacheState>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl Default for ModelCache {
-    fn default() -> Self {
-        ModelCache::with_capacity(DEFAULT_MODEL_CACHE_CAPACITY)
-    }
-}
-
-impl ModelCache {
-    /// Creates a cache holding at most `capacity` model builds (at least
-    /// one).
-    pub fn with_capacity(capacity: usize) -> ModelCache {
-        ModelCache {
-            capacity: capacity.max(1),
-            state: Mutex::new(ModelCacheState {
-                entries: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Maximum number of retained model builds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of model builds currently retained.
-    pub fn len(&self) -> usize {
-        self.state.lock_recover().entries.len()
-    }
-
-    /// `true` if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Successful lookups since the cache was created.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Failed lookups since the cache was created.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Looks up the retained build for a structure fingerprint, counting
-    /// the hit/miss. The returned clone shares the matrix cache and
-    /// factorisation behind `Arc`s, so cloning is cheap relative to a
-    /// model rebuild.
-    pub fn lookup(&self, key: u64) -> Option<ModelEntry> {
-        let state = self.state.lock_recover();
-        match state.entries.get(&key) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ModelEntry::clone(entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores (or refreshes) the retained build for a structure
-    /// fingerprint, evicting the oldest entry when full.
-    pub fn store(&self, key: u64, entry: ModelEntry) {
-        self.store_shared(key, Arc::new(entry));
-    }
-
-    fn store_shared(&self, key: u64, entry: Arc<ModelEntry>) {
-        let mut state = self.state.lock_recover();
-        if state.entries.insert(key, entry).is_none() {
-            state.order.push_back(key);
-            while state.entries.len() > self.capacity {
-                if let Some(old) = state.order.pop_front() {
-                    state.entries.remove(&old);
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// A point-in-time snapshot of every retained build, shared by
-    /// reference. [`ModelView`] anchors a flow's visibility to one of
-    /// these.
-    fn snapshot(&self) -> HashMap<u64, Arc<ModelEntry>> {
-        self.state.lock_recover().entries.clone()
-    }
-
-    /// Drops the retained build for a structure fingerprint — the
-    /// recovery path when a patched re-solve fails and the site falls
-    /// back to a fresh build.
-    pub fn invalidate(&self, key: u64) {
-        let mut state = self.state.lock_recover();
-        if state.entries.remove(&key).is_some() {
-            state.order.retain(|&k| k != key);
-        }
-    }
-}
-
-/// A flow's **deterministic view** of a shared [`ModelCache`]: the set of
-/// entries that existed when the flow started (a point-in-time snapshot,
-/// shared by `Arc` — no deep copies), overlaid with the flow's own stores
-/// and invalidations.
-///
-/// The snapshot is what makes cross-request reuse safe under
-/// concurrency. A retained-model re-solve may return a different (equally
-/// optimal) vertex than the fresh path, so *when* a flow first observes
-/// an entry changes its layout trajectory. Reading the live shared map
-/// would make that observation point depend on scheduler timing —
-/// concurrent identical jobs would wobble between trajectories
-/// non-deterministically. Anchoring each flow to its submission-time
-/// snapshot removes the race entirely: a flow's layout depends only on
-/// the cache contents at submission, never on what neighbours store
-/// mid-flight. Sequential submissions and sweep variants still see every
-/// predecessor's stores, because each starts after the previous one
-/// finished.
-///
-/// Stores and invalidations are applied to both the overlay (so the
-/// owning flow sees its own writes immediately) and the shared cache (so
-/// *later* flows inherit them).
-pub struct ModelView {
-    shared: Arc<ModelCache>,
-    snapshot: HashMap<u64, Arc<ModelEntry>>,
-    /// `Some(entry)` = stored by this flow; `None` = invalidated by this
-    /// flow (masks a snapshot entry).
-    overlay: Mutex<HashMap<u64, Option<Arc<ModelEntry>>>>,
-}
-
-impl ModelView {
-    /// Opens a view anchored to the cache's current contents.
-    pub fn new(shared: Arc<ModelCache>) -> ModelView {
-        let snapshot = shared.snapshot();
-        ModelView {
-            shared,
-            snapshot,
-            overlay: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Looks up a structure fingerprint in the overlay, then the
-    /// snapshot. Hit/miss counts land on the shared cache's counters.
-    pub fn lookup(&self, key: u64) -> Option<ModelEntry> {
-        let overlay = self.overlay.lock_recover();
-        let entry = match overlay.get(&key) {
-            Some(Some(entry)) => Some(entry),
-            Some(None) => None,
-            None => self.snapshot.get(&key),
-        };
-        match entry {
-            Some(entry) => {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ModelEntry::clone(entry))
-            }
-            None => {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a retained build: visible to this flow immediately and to
-    /// flows that start after this point.
-    pub fn store(&self, key: u64, entry: ModelEntry) {
-        let entry = Arc::new(entry);
-        self.overlay
-            .lock_recover()
-            .insert(key, Some(Arc::clone(&entry)));
-        self.shared.store_shared(key, entry);
-    }
-
-    /// Drops a retained build from this flow's view and from the shared
-    /// cache.
-    pub fn invalidate(&self, key: u64) {
-        self.overlay.lock_recover().insert(key, None);
-        self.shared.invalidate(key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,45 +201,5 @@ mod tests {
         cache.store(2, solved());
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(1).is_some());
-    }
-
-    fn tiny_entry() -> ModelEntry {
-        ModelEntry {
-            lp: LinearProgram::new(1, rfic_lp::Sense::Minimize),
-            basis: None,
-        }
-    }
-
-    #[test]
-    fn model_cache_counts_and_evicts_fifo() {
-        let cache = ModelCache::with_capacity(2);
-        assert!(cache.lookup(1).is_none());
-        cache.store(1, tiny_entry());
-        cache.store(2, tiny_entry());
-        cache.store(3, tiny_entry());
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(1).is_none(), "oldest entry is evicted first");
-        assert!(cache.lookup(2).is_some());
-        assert!(cache.lookup(3).is_some());
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn model_cache_invalidate_drops_the_entry() {
-        let cache = ModelCache::with_capacity(4);
-        cache.store(7, tiny_entry());
-        assert!(cache.lookup(7).is_some());
-        cache.invalidate(7);
-        assert!(cache.lookup(7).is_none());
-        assert!(cache.is_empty());
-        // Re-storing after invalidation must not double-count in the
-        // FIFO order queue.
-        cache.store(7, tiny_entry());
-        cache.store(8, tiny_entry());
-        cache.store(9, tiny_entry());
-        cache.store(10, tiny_entry());
-        cache.store(11, tiny_entry());
-        assert_eq!(cache.len(), 4);
     }
 }

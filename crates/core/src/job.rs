@@ -45,31 +45,28 @@ use rfic_lp::sync::{self, LockExt};
 use rfic_milp::{CancelToken, SolverPool};
 use rfic_netlist::Netlist;
 
-use crate::cache::{FlowCache, ModelCache};
+use crate::cache::FlowCache;
 use crate::pilp::{Pilp, PilpError, PilpPhase, PilpResult};
 
 /// Shared solving infrastructure for layout jobs: a persistent
 /// [`SolverPool`] plus the cross-request [`FlowCache`] of memoized
-/// solve-site layouts and the structure-keyed [`ModelCache`] of retained
-/// model builds for the parameter-sweep fast path.
+/// solve-site outcomes.
 ///
 /// Every job submitted into the same context schedules its
 /// branch-and-bound trees on the same fixed worker set and shares the
-/// same caches.
+/// same cache.
 pub struct JobContext {
     pool: SolverPool,
     cache: Arc<FlowCache>,
-    models: Arc<ModelCache>,
 }
 
 impl JobContext {
     /// Creates a context with `workers` pool threads (`0` = hardware
-    /// parallelism capped at 8) and default-capacity caches.
+    /// parallelism capped at 8) and a default-capacity cache.
     pub fn new(workers: usize) -> JobContext {
         JobContext {
             pool: SolverPool::new(workers),
             cache: Arc::new(FlowCache::default()),
-            models: Arc::new(ModelCache::default()),
         }
     }
 
@@ -91,10 +88,12 @@ impl JobContext {
         &self.cache
     }
 
-    /// The shared structure-keyed model cache (parameter-sweep fast
-    /// path).
-    pub fn model_cache(&self) -> &Arc<ModelCache> {
-        &self.models
+    /// Counters of the retired structure-keyed model cache, always
+    /// zero. Its only reason to exist is the `perfbench` trace
+    /// (`perfbench/src/trace.rs::cache_counters`), which still reads
+    /// `hits()` and `misses()` here.
+    pub fn model_cache(&self) -> RetiredModelCache {
+        RetiredModelCache
     }
 
     /// Shuts the pool down: in-flight solves return their incumbents and
@@ -102,6 +101,23 @@ impl JobContext {
     /// next checkpoint.
     pub fn shutdown(&self) {
         self.pool.shutdown();
+    }
+}
+
+/// The storage-free stand-in [`JobContext::model_cache`] returns: no
+/// capacity, no lookup, no store, and counters that stay at zero.
+#[derive(Debug, Clone, Copy)]
+pub struct RetiredModelCache;
+
+impl RetiredModelCache {
+    /// Always `0`.
+    pub fn hits(&self) -> usize {
+        0
+    }
+
+    /// Always `0`.
+    pub fn misses(&self) -> usize {
+        0
     }
 }
 
@@ -140,13 +156,12 @@ fn speculation_gate(flows_in_flight: usize, idle_workers: usize, slots: usize) -
 ///
 /// [`FlowCtl::branch`] derives the block a speculative solve runs under:
 /// shared with the flow except for the cancel token, which is a child of
-/// the flow's, and the model-cache view, which the branch goes without.
+/// the flow's.
 pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
     pool: Option<SolverPool>,
     cache: Option<Arc<FlowCache>>,
-    models: Option<crate::cache::ModelView>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
     fingerprint: u64,
     progress: Arc<ProgressState>,
@@ -224,16 +239,13 @@ impl FlowCtl {
     /// The control block of a speculative branch of this flow: the same
     /// pool, solve-site cache, deadline, progress and fatal slot, under a
     /// child of the flow's cancel token — cancelling the branch stops
-    /// only the branch, while cancelling the job stops both. The branch
-    /// has no model-cache view: it runs only soft-length sites, which
-    /// never take the patched path.
+    /// only the branch, while cancelling the job stops both.
     pub(crate) fn branch(&self) -> FlowCtl {
         FlowCtl {
             cancel: self.cancel.child(),
             deadline: self.deadline,
             pool: self.pool.clone(),
             cache: self.cache.clone(),
-            models: None,
             fingerprint: self.fingerprint,
             progress: Arc::clone(&self.progress),
             fatal: Arc::clone(&self.fatal),
@@ -243,12 +255,6 @@ impl FlowCtl {
     /// The shared solve-site cache, if attached.
     pub(crate) fn cache(&self) -> Option<&FlowCache> {
         self.cache.as_deref()
-    }
-
-    /// This flow's deterministic view of the shared structure-keyed
-    /// model cache, if attached.
-    pub(crate) fn model_cache(&self) -> Option<&crate::cache::ModelView> {
-        self.models.as_ref()
     }
 
     /// The netlist fingerprint for cache keying.
@@ -385,7 +391,6 @@ pub(crate) fn spawn_job(
         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
         pool: Some(ctx.pool.clone()),
         cache: use_cache.then(|| Arc::clone(&ctx.cache)),
-        models: use_cache.then(|| crate::cache::ModelView::new(Arc::clone(&ctx.models))),
         fingerprint: netlist.fingerprint(),
         progress: Arc::clone(&progress),
         fatal: Arc::default(),
@@ -443,12 +448,11 @@ struct SweepState {
 
 /// Handle to a submitted parameter sweep ([`Pilp::submit_sweep`]).
 ///
-/// A sweep runs its variants **sequentially, in submission order, on one
-/// background thread**, sharing the context's solver pool and caches.
-/// Sequential execution is what makes the sweep fast *and* reproducible:
-/// each variant's solves re-enter the structure-keyed [`ModelCache`]
-/// entries its predecessor left warm, and the cache traversal is
-/// identical to submitting the same variants one at a time — so the
+/// A sweep is an ordered batch of full flows: its variants run
+/// **sequentially, in submission order, on one background thread**,
+/// sharing the context's solver pool and [`FlowCache`]. Sequential
+/// execution keeps the sweep reproducible: the cache traversal is
+/// identical to submitting the same variants one at a time, so the
 /// layouts are bit-identical to sequential individual submissions.
 ///
 /// Like [`JobHandle`], the handle is passive: dropping it neither
@@ -505,14 +509,12 @@ impl SweepHandle {
 
 /// Spawns the sweep thread: variants run sequentially in submission
 /// order, each as a full flow under its own control block, all sharing
-/// the context's pool, solve-site cache and model cache (that sharing is
-/// the sweep fast path — see [`crate::cache::ModelCache`]).
+/// the context's pool and solve-site cache.
 pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) -> SweepHandle {
     let cancel = CancelToken::new();
     let state = Arc::new(SweepState::default());
     let pool = ctx.pool.clone();
     let cache = Arc::clone(&ctx.cache);
-    let models = Arc::clone(&ctx.models);
     let in_flight = InFlight::enter();
     let count = variants.len();
     let thread_state = Arc::clone(&state);
@@ -531,7 +533,6 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
                         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
                         pool: Some(pool.clone()),
                         cache: Some(Arc::clone(&cache)),
-                        models: Some(crate::cache::ModelView::new(Arc::clone(&models))),
                         fingerprint: netlist.fingerprint(),
                         progress: Arc::new(ProgressState::default()),
                         fatal: Arc::default(),

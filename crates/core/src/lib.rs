@@ -60,13 +60,13 @@ pub mod pilp;
 pub mod render;
 pub mod report;
 
-pub use cache::{FlowCache, ModelCache, ModelEntry, ModelView, SiteOutcome};
+pub use cache::{FlowCache, SiteOutcome};
 pub use drc::{check as drc_check, DrcOptions, DrcReport, DrcViolation};
 pub use job::{JobContext, JobHandle, JobProgress, SweepHandle};
 pub use layout::{Layout, Placement};
 pub use model::{IlpConfig, IlpError, IlpOutcome, IlpWeights, LayoutIlp, ObjectId, PairSpec};
 pub use pilp::{
-    legalize_placements, CutBudget, PhaseBudgets, PhaseSnapshot, Pilp, PilpConfig,
-    PilpConfigBuilder, PilpError, PilpPhase, PilpResult, SolverTotals,
+    legalize_placements, PhaseBudgets, PhaseSnapshot, Pilp, PilpConfig, PilpConfigBuilder,
+    PilpError, PilpPhase, PilpResult, SolverTotals,
 };
 pub use report::{ComparisonRow, LayoutReport, StripReport};

@@ -395,53 +395,9 @@ impl<'a> LayoutIlp<'a> {
         })
     }
 
-    /// Structure fingerprint of the underlying MILP — constraint pattern
-    /// plus integrality mask, excluding bound/RHS/cost values (see
-    /// [`rfic_milp::Model::structure_fingerprint`]). Two builds of the
-    /// same solve site for different sweep variants (target lengths,
-    /// spacing — anything that only moves values) share this fingerprint;
-    /// variants that change matrix coefficients (the area, through the
-    /// big-M constant) do not.
-    pub fn structure_fingerprint(&self) -> u64 {
-        self.model.structure_fingerprint()
-    }
-
-    /// Builds the LP relaxation of the underlying MILP (the object the
-    /// model-build cache retains per structure fingerprint).
+    /// Builds the LP relaxation of the underlying MILP.
     pub fn relaxation(&self) -> rfic_lp::LinearProgram {
         self.model.relaxation()
-    }
-
-    /// Value-patches a retained relaxation of an equal-structure build so
-    /// it matches this model exactly (see
-    /// [`rfic_milp::Model::patch_relaxation`]). Returns `false` on a
-    /// dimension mismatch, in which case the caller must rebuild.
-    pub fn patch_relaxation(&self, lp: &mut rfic_lp::LinearProgram) -> bool {
-        self.model.patch_relaxation(lp)
-    }
-
-    /// [`LayoutIlp::solve_warm_in_pool`] against a caller-supplied
-    /// prebuilt (patched) relaxation — the sweep fast path that bypasses
-    /// presolve so the retained basis re-enters with its factorisation
-    /// and DSE weights (see [`rfic_milp::Model::solve_patched_in_pool`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LayoutIlp::solve`].
-    pub fn solve_patched_in_pool(
-        &self,
-        options: &SolveOptions,
-        warm: &mut WarmStart,
-        pool: Option<&rfic_milp::SolverPool>,
-        lp: &rfic_lp::LinearProgram,
-    ) -> Result<IlpOutcome, IlpError> {
-        let solution = self.model.solve_patched_in_pool(options, warm, pool, lp)?;
-        let layout = self.decode(&solution);
-        Ok(IlpOutcome {
-            objective: solution.objective,
-            layout,
-            solution,
-        })
     }
 
     // --- variables ---------------------------------------------------------

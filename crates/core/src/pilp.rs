@@ -40,46 +40,13 @@ use crate::layout::{Layout, Placement};
 use crate::model::{IlpConfig, IlpError, IlpWeights, LayoutIlp, ObjectId, PairSpec};
 use crate::report::LayoutReport;
 
-/// Tree-cut budget of one flow phase, mapped onto
-/// [`rfic_milp::SolveOptions`]'s `cut_every` / `max_cut_rounds` /
-/// `local_cuts` knobs. `None` in [`PhaseBudgets`] keeps that phase on
-/// root-only separation (which the flow additionally pins *off* — Gomory
-/// cuts never survive the root improvement gate on the big-M layout
-/// models, so tree cuts are the only separation a phase can opt into).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CutBudget {
-    /// Separate at nodes whose depth is a multiple of this (`>= 1`).
-    pub cut_every: usize,
-    /// Maximum separation rounds per eligible node.
-    pub max_cut_rounds: usize,
-    /// Allow locally valid cuts (kept on the node's subtree).
-    pub local_cuts: bool,
-}
-
-impl CutBudget {
-    /// A budget separating every `cut_every` levels with the solver's
-    /// default per-node round limit and local cuts enabled.
-    pub fn every(cut_every: usize) -> CutBudget {
-        CutBudget {
-            cut_every: cut_every.max(1),
-            max_cut_rounds: 2,
-            local_cuts: true,
-        }
-    }
-}
-
 /// Optional per-phase wall-clock budgets for the individual MILP solves;
 /// phases without a budget fall back to [`PilpConfig::solve_time_limit`].
 ///
 /// The three phases have very different solve profiles — Phase 1 routes
 /// blurred strips (cheap, many solves), Phase 3 repairs hard-length strips
 /// (few solves, occasionally expensive) — so one global per-solve limit is
-/// either too tight for refinement or too loose for routing. The same
-/// argument applies to cut separation, so each phase also carries an
-/// optional [`CutBudget`] (default: no tree cuts anywhere — measured at
-/// flow level, the small layout MILPs solve in so few nodes that
-/// separation overhead does not pay; the knobs exist for the larger
-/// windowed models of bigger circuits).
+/// either too tight for refinement or too loose for routing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBudgets {
     /// Per-solve budget in Phase 1 (blurred global routing).
@@ -88,12 +55,6 @@ pub struct PhaseBudgets {
     pub visualization: Option<Duration>,
     /// Per-solve budget in Phase 3 (iterative refinement).
     pub refinement: Option<Duration>,
-    /// Tree-cut budget in Phase 1.
-    pub routing_cuts: Option<CutBudget>,
-    /// Tree-cut budget in Phase 2.
-    pub visualization_cuts: Option<CutBudget>,
-    /// Tree-cut budget in Phase 3.
-    pub refinement_cuts: Option<CutBudget>,
 }
 
 impl PhaseBudgets {
@@ -103,15 +64,6 @@ impl PhaseBudgets {
             PilpPhase::GlobalRouting => self.routing,
             PilpPhase::Visualization => self.visualization,
             PilpPhase::Refinement => self.refinement,
-        }
-    }
-
-    /// The tree-cut budget configured for `phase`, if any.
-    pub fn cuts_for_phase(&self, phase: PilpPhase) -> Option<CutBudget> {
-        match phase {
-            PilpPhase::GlobalRouting => self.routing_cuts,
-            PilpPhase::Visualization => self.visualization_cuts,
-            PilpPhase::Refinement => self.refinement_cuts,
         }
     }
 }
@@ -218,7 +170,6 @@ impl PilpConfig {
                 routing: Some(Duration::from_secs(8)),
                 visualization: None,
                 refinement: Some(Duration::from_secs(20)),
-                ..PhaseBudgets::default()
             },
             solver_threads: 2,
             max_extra_chain_points: 4,
@@ -298,16 +249,6 @@ impl PilpConfigBuilder {
             PilpPhase::GlobalRouting => self.config.phase_budgets.routing = Some(limit),
             PilpPhase::Visualization => self.config.phase_budgets.visualization = Some(limit),
             PilpPhase::Refinement => self.config.phase_budgets.refinement = Some(limit),
-        }
-        self
-    }
-
-    /// Tree-cut budget for one phase (see [`CutBudget`]).
-    pub fn phase_cuts(mut self, phase: PilpPhase, cuts: CutBudget) -> Self {
-        match phase {
-            PilpPhase::GlobalRouting => self.config.phase_budgets.routing_cuts = Some(cuts),
-            PilpPhase::Visualization => self.config.phase_budgets.visualization_cuts = Some(cuts),
-            PilpPhase::Refinement => self.config.phase_budgets.refinement_cuts = Some(cuts),
         }
         self
     }
@@ -637,13 +578,11 @@ impl Pilp {
     /// process-wide [`crate::JobContext`]. Returns immediately with a
     /// [`crate::SweepHandle`].
     ///
-    /// The variants run sequentially in submission order on one
-    /// background thread, so every variant's solves re-enter the
-    /// structure-keyed [`crate::ModelCache`] entries the previous variant
-    /// left warm: equal-structure models are value-patched and re-solved
-    /// dually from the retained basis instead of being rebuilt and solved
-    /// cold. The layouts are bit-identical to submitting the same
-    /// variants one at a time.
+    /// The variants run as full flows, sequentially in submission order
+    /// on one background thread, sharing the context's solver pool and
+    /// [`crate::FlowCache`]: a variant identical to an earlier request
+    /// replays from memoized solve sites. The layouts are bit-identical
+    /// to submitting the same variants one at a time.
     ///
     /// # Examples
     ///
@@ -735,7 +674,6 @@ impl Pilp {
     }
 
     pub(crate) fn solve_options(&self, phase: PilpPhase) -> SolveOptions {
-        let cut_budget = self.config.phase_budgets.cuts_for_phase(phase);
         SolveOptions {
             time_limit: self
                 .config
@@ -769,11 +707,12 @@ impl Pilp {
             // Gomory cuts never survive the root-bound improvement gate on
             // these models; separating them is pure overhead here.
             cut_rounds: 0,
-            // Tree-wide cuts are opt-in per phase through the cut budgets
-            // (off by default — see `PhaseBudgets`).
-            cut_every: cut_budget.map_or(0, |c| c.cut_every),
-            max_cut_rounds: cut_budget.map_or(0, |c| c.max_cut_rounds),
-            local_cuts: cut_budget.is_some_and(|c| c.local_cuts),
+            // No tree-wide cuts either: measured at flow level, the small
+            // windowed layout MILPs solve in so few nodes that node
+            // separation overhead does not pay.
+            cut_every: 0,
+            max_cut_rounds: 0,
+            local_cuts: false,
             // Dual steepest-edge, re-decided from flow-level measurement
             // (DESIGN.md has the numbers): the layout node LPs are warm
             // dual re-solves, and the DSE leaving rule plus the
@@ -1429,27 +1368,7 @@ impl Pilp {
         ctl: &crate::job::FlowCtl,
         totals: &mut SolverTotals,
     ) -> Result<Layout, IlpError> {
-        self.solve_with_separation_impl(netlist, config, base, phase, ctl, totals, true)
-    }
-
-    /// The body of [`Pilp::solve_with_separation`], parameterised on
-    /// whether the structure-keyed patched fast path may serve the root
-    /// solve. The quality gate at the bottom re-enters with
-    /// `allow_patched = false` when a patched root produced a layout a
-    /// fresh solve would not have been allowed to return.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_with_separation_impl(
-        &self,
-        netlist: &Netlist,
-        config: IlpConfig,
-        base: &Layout,
-        phase: PilpPhase,
-        ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
-        allow_patched: bool,
-    ) -> Result<Layout, IlpError> {
         let blurred = phase == PilpPhase::GlobalRouting;
-        let retry_config = allow_patched.then(|| config.clone());
         let mut options = self.solve_options(phase);
         options.cancel = Some(ctl.cancel_token().clone());
         let base_limit = options.time_limit;
@@ -1466,23 +1385,6 @@ impl Pilp {
             }
         }
         let mut ilp = LayoutIlp::build(netlist, config, base)?;
-        // Structure-keyed model reuse (the parameter-sweep fast path): the
-        // root solve of this site is re-entered from a retained build of
-        // the *same constraint structure* when one exists, value-patched
-        // to this site's bounds/costs/RHS. Only the round-0 model is
-        // retained — separation rounds grow the model, changing its
-        // structure. The fast path is confined to sites the quality gate
-        // below can verify — non-blurred, hard-length solves. A patched
-        // re-solve may land on an *alternate* optimal vertex, and at
-        // blurred or soft-length sites no local check can tell a healthy
-        // alternate optimum from one that derails the downstream phases,
-        // so those sites always take the (deterministic) fresh path.
-        let patchable = !blurred && ilp.config().hard_length;
-        let structure_key = if patchable {
-            ctl.model_cache().map(|_| ilp.structure_fingerprint())
-        } else {
-            None
-        };
         let mut warm = rfic_milp::WarmStart::new();
         let mut best: Option<Layout> = None;
         // A site is memoizable only if it ran to its natural conclusion
@@ -1491,10 +1393,7 @@ impl Pilp {
         // replay a result a cold run might not reproduce.
         let mut aborted = false;
         let mut provable = true;
-        // Whether the root solve was served by the patched fast path —
-        // the quality gate below only fires for those sites.
-        let mut patched_used = false;
-        for round in 0..=self.config.max_separation_rounds {
+        for _ in 0..=self.config.max_separation_rounds {
             if ctl.cancel_token().is_cancelled() {
                 aborted = true;
                 break;
@@ -1507,69 +1406,30 @@ impl Pilp {
                 Some(remaining) => options.time_limit = base_limit.min(remaining),
                 None => options.time_limit = base_limit,
             }
-            let mut patched = None;
-            if round == 0 && allow_patched {
-                if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                    patched = solve_patched_root(&ilp, &options, models, key, ctl, &mut warm);
-                }
-            }
-            if patched.is_some() {
-                patched_used = true;
-            }
-            let outcome = match patched {
-                Some(outcome) => outcome,
-                None => {
-                    let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl, totals)
-                    {
-                        Ok(outcome) => outcome,
-                        Err(e) => {
-                            // Per-strip solve failures are tolerated by
-                            // the phase loops by design — but a contained
-                            // panic or a dead pool is a *flow* fault, not
-                            // a numerical dead end. Record it on the
-                            // control block so the next phase checkpoint
-                            // aborts the whole job with the real error.
-                            if let Some(fatal) = fatal_flow_error(&e) {
-                                ctl.record_fatal(fatal);
-                            }
-                            // `Infeasible` comes back only from a tree
-                            // that closed with no limit hit, so after
-                            // proven-optimal earlier rounds it is a
-                            // deterministic outcome of this site and
-                            // replays like a layout. A patched-root
-                            // trajectory depends on the model cache,
-                            // which the site key does not cover.
-                            if matches!(e, IlpError::Solver(rfic_milp::MilpError::Infeasible)) {
-                                totals.infeasible_proofs += 1;
-                                if provable && !patched_used {
-                                    if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
-                                        cache.store(key, SiteOutcome::Infeasible);
-                                    }
-                                }
-                            }
-                            return Err(e);
-                        }
-                    };
-                    if round == 0 && allow_patched {
-                        if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                            // Retain this site's build for equal-structure
-                            // variants: the relaxation (built once here) plus
-                            // the root basis the solve returned. The basis is
-                            // the presolve projection — statuses only — so
-                            // the first patched re-solve pays one
-                            // refactorisation before going fully live.
-                            if outcome.solution.status == rfic_milp::SolveStatus::Optimal {
-                                models.store(
-                                    key,
-                                    crate::cache::ModelEntry {
-                                        lp: ilp.relaxation(),
-                                        basis: warm.basis().cloned(),
-                                    },
-                                );
+            let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl, totals) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    // Per-strip solve failures are tolerated by the phase
+                    // loops by design — but a contained panic or a dead
+                    // pool is a *flow* fault, not a numerical dead end.
+                    // Record it on the control block so the next phase
+                    // checkpoint aborts the whole job with the real error.
+                    if let Some(fatal) = fatal_flow_error(&e) {
+                        ctl.record_fatal(fatal);
+                    }
+                    // `Infeasible` comes back only from a tree that closed
+                    // with no limit hit, so after proven-optimal earlier
+                    // rounds it is a deterministic outcome of this site
+                    // and replays like a layout.
+                    if matches!(e, IlpError::Solver(rfic_milp::MilpError::Infeasible)) {
+                        totals.infeasible_proofs += 1;
+                        if provable {
+                            if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
+                                cache.store(key, SiteOutcome::Infeasible);
                             }
                         }
                     }
-                    outcome
+                    return Err(e);
                 }
             };
             totals.record(&outcome.solution);
@@ -1586,112 +1446,12 @@ impl Pilp {
                 break; // nothing new to add; accept the solution
             }
         }
-        // Quality gate of the patched fast path: a retained-model re-solve
-        // may deterministically land on an *alternate* optimal vertex the
-        // fresh path would not have produced — ILP-optimal, yet leaving a
-        // length error or a DRC violation the downstream refinement then
-        // has to burn iterations on. Such a site is redone once on the
-        // standard fresh-build path (and the retained entry dropped), so
-        // the fast path can never degrade layout quality — only cost at
-        // most one extra site solve when it guessed wrong.
-        // `patched_used` implies a patchable (non-blurred, hard-length)
-        // site — the only kind the fast path serves.
-        if patched_used && !aborted {
-            if let Some(layout) = &best {
-                if !self.patched_site_acceptable(netlist, layout, &ilp.config().free_strips) {
-                    if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                        models.invalidate(key);
-                    }
-                    if let Some(config) = retry_config {
-                        return self.solve_with_separation_impl(
-                            netlist, config, base, phase, ctl, totals, false,
-                        );
-                    }
-                }
-            }
-        }
         if !aborted && provable {
             if let (Some(cache), Some(key), Some(layout)) = (ctl.cache(), site_key, &best) {
                 cache.store(key, SiteOutcome::Solved(layout.clone()));
             }
         }
         best.ok_or(IlpError::Solver(rfic_milp::MilpError::LimitReached))
-    }
-
-    /// Whether a layout returned by a patched-root site meets the same
-    /// acceptance a fresh solve feeds the refinement loop: every strip
-    /// the site solved sits within the length tolerance and is free of
-    /// DRC violations. Only non-blurred hard-length sites ever take the
-    /// patched path, so the check is always meaningful — blurred or
-    /// soft-length lengths are inexact by design and would reject
-    /// perfectly healthy intermediate layouts.
-    fn patched_site_acceptable(
-        &self,
-        netlist: &Netlist,
-        layout: &Layout,
-        free_strips: &std::collections::BTreeSet<rfic_netlist::MicrostripId>,
-    ) -> bool {
-        let drc = drc::check(netlist, layout, &DrcOptions::default());
-        free_strips.iter().all(|&id| {
-            let exact = layout
-                .length_error(netlist, id)
-                .map(|e| e.abs() <= self.config.length_tolerance)
-                .unwrap_or(false);
-            exact && drc.for_strip(id).is_empty()
-        })
-    }
-}
-
-/// Attempts the structure-keyed patched root re-solve: look up a retained
-/// build of this model's structure, value-patch it to this site's
-/// bounds/costs/RHS and re-solve dually from the retained basis with
-/// presolve bypassed (the patched values make re-running bound tightening
-/// unsound against the retained basis, and the bypass is what keeps the
-/// factorisation and DSE weights adoptable).
-///
-/// Returns `None` — leaving `warm` untouched — whenever the fast path
-/// cannot serve the solve: no retained build, a dimension mismatch under
-/// a fingerprint collision, or a patched re-solve that errors or stops
-/// short of proven optimality. Every `None` invalidates the entry and
-/// deterministically falls back to the standard fresh-build path, so an
-/// unhealthy cache can cost at most one extra solve per site.
-///
-/// On success the patched build and its now-live root basis
-/// (factorisation + dual steepest-edge weights) are stored back, and
-/// `warm` carries the live basis into the separation rounds.
-fn solve_patched_root(
-    ilp: &LayoutIlp,
-    options: &SolveOptions,
-    models: &crate::cache::ModelView,
-    key: u64,
-    ctl: &crate::job::FlowCtl,
-    warm: &mut rfic_milp::WarmStart,
-) -> Option<crate::model::IlpOutcome> {
-    let mut entry = models.lookup(key)?;
-    if !ilp.patch_relaxation(&mut entry.lp) {
-        models.invalidate(key);
-        return None;
-    }
-    let mut patched_warm = match entry.basis.take() {
-        Some(basis) => rfic_milp::WarmStart::from_basis(basis),
-        None => rfic_milp::WarmStart::new(),
-    };
-    match ilp.solve_patched_in_pool(options, &mut patched_warm, ctl.pool(), &entry.lp) {
-        Ok(outcome) if outcome.solution.status == rfic_milp::SolveStatus::Optimal => {
-            models.store(
-                key,
-                crate::cache::ModelEntry {
-                    lp: entry.lp,
-                    basis: patched_warm.basis().cloned(),
-                },
-            );
-            *warm = patched_warm;
-            Some(outcome)
-        }
-        _ => {
-            models.invalidate(key);
-            None
-        }
     }
 }
 
@@ -2031,26 +1791,6 @@ mod tests {
             ..PilpConfig::fast()
         });
         assert_eq!(pinned.solve_options(PilpPhase::Refinement).threads, 3);
-    }
-
-    #[test]
-    fn cut_budgets_map_onto_solver_options_per_phase() {
-        let mut config = PilpConfig::fast();
-        config.phase_budgets.refinement_cuts = Some(CutBudget::every(2));
-        let pilp = Pilp::new(config);
-        let refine = pilp.solve_options(PilpPhase::Refinement);
-        assert_eq!(refine.cut_every, 2);
-        assert_eq!(refine.max_cut_rounds, 2);
-        assert!(refine.local_cuts);
-        // Phases without a budget stay on root-only separation (itself
-        // pinned off for the layout models).
-        let routing = pilp.solve_options(PilpPhase::GlobalRouting);
-        assert_eq!(routing.cut_every, 0);
-        assert_eq!(routing.max_cut_rounds, 0);
-        assert!(!routing.local_cuts);
-        assert_eq!(routing.cut_rounds, 0);
-        // `every` clamps a zero interval to a usable one.
-        assert_eq!(CutBudget::every(0).cut_every, 1);
     }
 
     #[test]

@@ -83,10 +83,9 @@ fn identical_jobs_reuse_the_solve_site_cache() {
     ctx.shutdown();
 }
 
-/// The sweep fast path must not change results: an 8-variant sweep
-/// yields layouts bit-identical to the same variants submitted one at a
-/// time on a fresh context — and actually exercises the structure-keyed
-/// model cache along the way.
+/// A sweep is an ordered batch of full flows: an 8-variant sweep yields
+/// layouts bit-identical to the same variants submitted one at a time on
+/// a fresh context.
 #[test]
 fn sweep_matches_sequential_individual_submissions() {
     let circuit = benchmarks::tiny_circuit();
@@ -113,10 +112,6 @@ fn sweep_matches_sequential_individual_submissions() {
     let sweep = pilp.submit_sweep_in(&variants, &ctx);
     let results = sweep.wait();
     assert_eq!(sweep.completed(), 8);
-    assert!(
-        ctx.model_cache().hits() > 0,
-        "equal-structure variants must re-enter retained model builds"
-    );
     ctx.shutdown();
 
     assert_eq!(results.len(), sequential.len());

@@ -45,7 +45,9 @@ fn single_strip(seed: u64) -> rfic_netlist::Netlist {
 
 /// A replay of a solved single-strip circuit is a pure lookup: the
 /// proven-infeasible hard-length sites replay from the cache like the
-/// solved ones, so no branch-and-bound tree runs at all.
+/// solved ones, so no branch-and-bound tree runs at all. The same holds
+/// for the variants of a sweep, whose only cross-request reuse is that
+/// cache: each variant resubmitted after the sweep replays its layout.
 #[test]
 fn replay_runs_no_solver_tree() {
     let _serial = serial();
@@ -67,6 +69,23 @@ fn replay_runs_no_solver_tree() {
     assert_eq!(replay.layout, first.layout);
     assert_eq!(replay.solver.solves, 0);
     assert_eq!(replay.solver.infeasible_proofs, 0);
+
+    let variants: Vec<_> = [0.995, 1.003, 1.008]
+        .iter()
+        .map(|&scale| single_strip(11).with_target_scale(scale))
+        .collect();
+    let swept = pilp.submit_sweep_in(&variants, &ctx).wait();
+    let trees = ctx.pool().completed_trees();
+    for (i, (netlist, swept)) in variants.iter().zip(&swept).enumerate() {
+        let swept = swept.as_ref().expect("sweep variant");
+        let replay = pilp.submit_in(netlist, &ctx).wait().expect("replay");
+        assert_eq!(replay.layout, swept.layout, "variant {i}: layouts differ");
+        assert_eq!(
+            ctx.pool().completed_trees(),
+            trees,
+            "variant {i}: a replay must not run a single tree"
+        );
+    }
     ctx.shutdown();
 }
 

@@ -395,19 +395,6 @@ impl WarmStart {
     pub fn has_basis(&self) -> bool {
         self.root_basis.is_some()
     }
-
-    /// A warm-start state seeded from a previously captured root basis
-    /// (the cross-request warm-base cache's rehydration path).
-    pub fn from_basis(basis: Basis) -> WarmStart {
-        WarmStart {
-            root_basis: Some(basis),
-        }
-    }
-
-    /// The captured full-model root basis, if any.
-    pub fn basis(&self) -> Option<&Basis> {
-        self.root_basis.as_ref()
-    }
 }
 
 /// How a node was created from its parent (pseudocost bookkeeping).
@@ -1562,31 +1549,6 @@ pub(crate) fn branch_and_bound(
     warm: Option<&mut WarmStart>,
     worker_pool: Option<&crate::pool::SolverPool>,
 ) -> Result<MilpSolution, MilpError> {
-    branch_and_bound_impl(model, options, warm, worker_pool, None)
-}
-
-/// [`branch_and_bound`] against a caller-supplied prebuilt relaxation:
-/// presolve is bypassed (identity postsolve over `lp` itself), so the
-/// root re-enters from — and stores back — a **live** full-space basis
-/// whose factorisation and DSE weights survive. See
-/// [`Model::solve_patched_in_pool`] for the contract.
-pub(crate) fn branch_and_bound_prebuilt(
-    model: &Model,
-    options: &SolveOptions,
-    warm: Option<&mut WarmStart>,
-    worker_pool: Option<&crate::pool::SolverPool>,
-    lp: &LinearProgram,
-) -> Result<MilpSolution, MilpError> {
-    branch_and_bound_impl(model, options, warm, worker_pool, Some(lp))
-}
-
-fn branch_and_bound_impl(
-    model: &Model,
-    options: &SolveOptions,
-    warm: Option<&mut WarmStart>,
-    worker_pool: Option<&crate::pool::SolverPool>,
-    prebuilt: Option<&LinearProgram>,
-) -> Result<MilpSolution, MilpError> {
     let start = Instant::now();
     let sense_sign = match model.sense() {
         Sense::Minimize => 1.0,
@@ -1603,18 +1565,10 @@ fn branch_and_bound_impl(
     // every subtree. Integer columns keep unit scale factors and are never
     // substituted away, so branching and cut separation stay exact.
     let full_is_integer: Vec<bool> = model.vars.iter().map(|v| v.kind.is_integer()).collect();
-    // A prebuilt (patched) relaxation skips the reduction stack entirely:
-    // the `off()` pass is the identity transform, returning a clone of
-    // `lp` that still shares its matrix cache, so the retained basis of
-    // the previous solve of this structure re-enters with factorisation
-    // and DSE weights intact.
-    let presolve_result = match prebuilt {
-        Some(lp) => lp.presolve(&PresolveConfig::off(), Some(&full_is_integer)),
-        None => model
-            .relaxation()
-            .presolve(&options.presolve, Some(&full_is_integer)),
-    };
-    let presolved = match presolve_result {
+    let presolved = match model
+        .relaxation()
+        .presolve(&options.presolve, Some(&full_is_integer))
+    {
         Ok(p) => p,
         Err(LpError::Infeasible) => return Err(MilpError::Infeasible),
         Err(LpError::Unbounded) => return Err(MilpError::Unbounded),

@@ -16,7 +16,12 @@ use rfic_milp::{instances, MilpError, SolveOptions, SolverPool};
 fn pool_survives_a_worker_panic() {
     let model = instances::bench_knapsack(24);
     let options = SolveOptions::default();
-    let clean = model.solve(&options).expect("uninjected solve");
+    // Runs outside an armed plan hold an empty one: the plan lock keeps
+    // them from consuming a fault another test armed.
+    let clean = {
+        let _quiet = FaultPlan::new().install();
+        model.solve(&options).expect("uninjected solve")
+    };
 
     let pool = SolverPool::new(2);
     {
@@ -38,6 +43,7 @@ fn pool_survives_a_worker_panic() {
 
     // Guard dropped: the plan is disarmed and the same pool keeps
     // solving, bit-identical to the uninjected run.
+    let _quiet = FaultPlan::new().install();
     let after = model
         .solve_in_pool(&options, &pool)
         .expect("pool must survive a contained worker panic");
